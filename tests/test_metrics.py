@@ -1,5 +1,7 @@
 """Tests for thinning, matching, accumulation, pairing, and ODS/OIS."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,37 @@ from pointedge import Dataset, ImageRecord
 
 def has_2x2_block(bits: np.ndarray) -> bool:
     return bool((bits[:-1, :-1] & bits[:-1, 1:] & bits[1:, :-1] & bits[1:, 1:]).any())
+
+
+def pinned_thin_inputs() -> dict[str, np.ndarray]:
+    """Seeded maps for the pinned thinning digests.
+
+    The dense speckle fields leave 2x2 blocks after the parallel passes, so
+    their digests depend on the order in which blocks are broken.
+    """
+    rng = np.random.default_rng(2205)
+    maps = {f"speckle{d}": rng.random((48, 64)) < d for d in (0.3, 0.5, 0.7)}
+    for k in range(4):
+        maps[f"blob{k}"] = random_blob(rng).bits
+    maps["row"] = rng.random((1, 23)) < 0.6
+    maps["col"] = rng.random((23, 1)) < 0.6
+    maps["full"] = np.ones((9, 13), dtype=bool)
+    return maps
+
+
+# SHA-256 of packbits(thin(map)) followed by repr(shape), one per input above.
+PINNED_THIN_DIGESTS = {
+    "speckle0.3": "3de5a551f345763cb1c71685387a7ba52556dfc30d8ef5a0bedac4e0ecd44339",
+    "speckle0.5": "6d92fbc1018f1ab6d34d91af77a671462445b1838c3c0445021206004de22747",
+    "speckle0.7": "f44a179e3b13f7e3436e368ac55f9812b77fa8801f77cb2942edb1bfae1a6df7",
+    "blob0": "309409caa4be96bfe28338ed50ed2849cdecb91a623e55e76bf92dc1b8da895c",
+    "blob1": "78e52150ef4e6a9e7e95d573198f524e8cad23d5a1fc48e5b4ab51f417e2419d",
+    "blob2": "24fbdfadebb98af78615e746fa68d6d1cb4824a8fd5181735cc2f2642d55886a",
+    "blob3": "7e942768e9fb61f3bba86bd1b4a23937badf0bbd81109181720e41dd551620ae",
+    "row": "2f1e666b4c14abf0f5638369dff3b25a4efc334e209840f9e111dbaed0e6f521",
+    "col": "b16742d9a4026fed1f726fa2008071f4b283e1f143b549e49ebb747ea851206f",
+    "full": "ef4243652ec2dcd3d092e2f72a6b5a20b670af8b8548b53d4d187cdd9610c099",
+}
 
 
 class TestThin:
@@ -82,6 +115,12 @@ class TestThin:
         bits[4, 1:9] = True
         once = thin(BitMap(bits))
         assert (once.bits == bits).all()
+
+    def test_outputs_match_pinned_digests(self):
+        for name, bits in pinned_thin_inputs().items():
+            out = thin(BitMap(bits)).bits
+            digest = hashlib.sha256(np.packbits(out).tobytes() + repr(out.shape).encode())
+            assert digest.hexdigest() == PINNED_THIN_DIGESTS[name], name
 
 
 class TestMatchInstance:
