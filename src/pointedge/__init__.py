@@ -32,7 +32,6 @@ from .losses import (
     FocalConfig,
     LossResult,
     UndefinedLossError,
-    dice_grad,
     dice_loss,
     finite_diff_check,
     gradient_ratio,
@@ -97,7 +96,6 @@ __all__ = [
     "FocalConfig",
     "LossResult",
     "UndefinedLossError",
-    "dice_grad",
     "dice_loss",
     "finite_diff_check",
     "gradient_ratio",

@@ -23,7 +23,6 @@ __all__ = [
     "UndefinedLossError",
     "penalty_reduced_focal",
     "dice_loss",
-    "dice_grad",
     "gradient_ratio",
     "finite_diff_check",
 ]
@@ -132,11 +131,6 @@ def dice_loss(pred, gt, smooth: float = 0.0) -> LossResult:
     a = 2.0 * overlap + smooth
     gradient = -2.0 * (y * b - p * a) / (b * b)
     return LossResult(value=1.0 - a / b, gradient=gradient)
-
-
-def dice_grad(pred, gt) -> np.ndarray:
-    """Per-pixel gradient of the exact (unsmoothed) dice loss."""
-    return dice_loss(pred, gt).gradient
 
 
 def gradient_ratio(mask_pred, mask_gt, edge_pred, edge_gt) -> float:

@@ -12,7 +12,6 @@ from pointedge import (
     LossResult,
     TunnelTarget,
     UndefinedLossError,
-    dice_grad,
     dice_loss,
     finite_diff_check,
     gradient_ratio,
@@ -153,10 +152,10 @@ class TestDiceLoss:
 class TestDiceGrad:
     def test_zero_at_perfect_binary_prediction(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.abs(dice_grad(y, y)).max() == 0.0
+        assert np.abs(dice_loss(y, y).gradient).max() == 0.0
 
     def test_zero_when_gt_empty(self):
-        grad = dice_grad([[0.2, 0.8]], [[0.0, 0.0]])
+        grad = dice_loss([[0.2, 0.8]], [[0.0, 0.0]]).gradient
         assert np.abs(grad).max() == 0.0
 
     def test_matches_finite_differences(self):
@@ -166,12 +165,6 @@ class TestDiceGrad:
             y = (rng.random((5, 5)) < 0.4).astype(float)
             err = finite_diff_check(lambda q, t: dice_loss(q, t), p, y)
             assert err <= 1e-5
-
-    def test_matches_loss_result_gradient(self):
-        rng = np.random.default_rng(23)
-        p = rng.uniform(0.1, 0.9, size=(4, 4))
-        y = (rng.random((4, 4)) < 0.5).astype(float)
-        assert np.allclose(dice_loss(p, y).gradient, dice_grad(p, y), atol=1e-15)
 
 
 def square_defect_maps(k: int):
@@ -210,8 +203,8 @@ class TestGradientRatio:
         # The ratio > 1 regime must show up as a strictly larger gradient
         # magnitude at the defect pixel under edge framing.
         mask_pred, mask_gt, edge_pred, edge_gt = square_defect_maps(10)
-        mask_g = abs(dice_grad(mask_pred, mask_gt)[0, 5])
-        edge_g = abs(dice_grad(edge_pred, edge_gt)[0, 5])
+        mask_g = abs(dice_loss(mask_pred, mask_gt).gradient[0, 5])
+        edge_g = abs(dice_loss(edge_pred, edge_gt).gradient[0, 5])
         assert gradient_ratio(mask_pred, mask_gt, edge_pred, edge_gt) > 1.0
         assert mask_g < edge_g
 
