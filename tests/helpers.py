@@ -156,6 +156,61 @@ def random_blob(rng: np.random.Generator, height: int = 24, width: int = 24) -> 
 
 
 # ---------------------------------------------------------------------------
+# Thinning oracle
+# ---------------------------------------------------------------------------
+
+def _full_frame_codes(a: np.ndarray) -> np.ndarray:
+    """Each pixel's 8-bit neighbour code (N, NE, E, SE, S, SW, W, NW = bits 0-7)."""
+    h, w = a.shape
+    z = np.pad(a, 1).view(np.uint8)
+    codes = np.zeros((h, w), dtype=np.uint8)
+    offsets = ((0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0))
+    for k, (dy, dx) in enumerate(offsets):
+        codes += z[dy:dy + h, dx:dx + w] * np.uint8(1 << k)
+    return codes
+
+
+def reference_thin(bits: np.ndarray) -> np.ndarray:
+    """Guo-Hall thinning recomputed over the whole frame at every step.
+
+    Each subiteration rebuilds every neighbour code and looks the whole frame
+    up in the library's rule tables; block breaking rescans the whole frame
+    after every single deletion, taking the first qualifying 2x2 block in
+    row-major order and its first simple pixel in TL, TR, BL, BR order. Only
+    the 256-entry tables are shared with :func:`pointedge.thin`, so this
+    checks the order and extent of its deletions, not the Guo-Hall rule.
+    """
+    from pointedge.metrics import _DELETABLE, _SIMPLE
+
+    a = np.array(bits, dtype=bool)
+    while True:
+        changed = True
+        while changed:
+            changed = False
+            for table in _DELETABLE:
+                removable = a & table[_full_frame_codes(a)]
+                if removable.any():
+                    a[removable] = False
+                    changed = True
+        broke = False
+        while True:
+            simple = a & _SIMPLE[_full_frame_codes(a)]
+            full = a[:-1, :-1] & a[:-1, 1:] & a[1:, :-1] & a[1:, 1:]
+            some = simple[:-1, :-1] | simple[:-1, 1:] | simple[1:, :-1] | simple[1:, 1:]
+            qualifies = full & some
+            if not qualifies.any():
+                break
+            by, bx = np.unravel_index(np.argmax(qualifies), qualifies.shape)
+            for y, x in ((by, bx), (by, bx + 1), (by + 1, bx), (by + 1, bx + 1)):
+                if simple[y, x]:
+                    a[y, x] = False
+                    break
+            broke = True
+        if not broke:
+            return a
+
+
+# ---------------------------------------------------------------------------
 # Matching oracle
 # ---------------------------------------------------------------------------
 

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointedge import (
     BitMap,
@@ -32,6 +34,7 @@ from helpers import (
     make_instance,
     random_blob,
     random_dataset,
+    reference_thin,
     two_image_fixture,
 )
 from pointedge import Dataset, ImageRecord
@@ -70,6 +73,23 @@ PINNED_THIN_DIGESTS = {
     "col": "b16742d9a4026fed1f726fa2008071f4b283e1f143b549e49ebb747ea851206f",
     "full": "ef4243652ec2dcd3d092e2f72a6b5a20b670af8b8548b53d4d187cdd9610c099",
 }
+
+
+@st.composite
+def bool_maps(draw) -> np.ndarray:
+    """Maps from 1x1 to 32x32 at any density, full and empty included."""
+    shape = (draw(st.integers(1, 32)), draw(st.integers(1, 32)))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape) < density
+
+
+def assert_thin_matches_reference(bits: np.ndarray) -> None:
+    before = bits.copy()
+    out = thin(BitMap(bits)).bits
+    assert (bits == before).all(), "thin modified its input"
+    assert out.shape == bits.shape
+    assert (out == reference_thin(bits)).all()
 
 
 class TestThin:
@@ -121,6 +141,28 @@ class TestThin:
             out = thin(BitMap(bits)).bits
             digest = hashlib.sha256(np.packbits(out).tobytes() + repr(out.shape).encode())
             assert digest.hexdigest() == PINNED_THIN_DIGESTS[name], name
+
+    @settings(max_examples=200, deadline=None)
+    @given(bool_maps())
+    def test_matches_full_frame_reference_on_small_maps(self, bits):
+        assert_thin_matches_reference(bits)
+
+    def test_matches_full_frame_reference_on_seeded_small_maps(self):
+        rng = np.random.default_rng(1907)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            assert_thin_matches_reference(rng.random(shape) < rng.random())
+
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.7, 1.0])
+    def test_matches_full_frame_reference_on_speckle(self, density):
+        rng = np.random.default_rng(int(density * 10) + 61)
+        assert_thin_matches_reference(rng.random((96, 128)) < density)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1)])
+    def test_matches_full_frame_reference_on_degenerate_shapes(self, shape):
+        rng = np.random.default_rng(shape[1])
+        for density in (0.0, 0.5, 1.0):
+            assert_thin_matches_reference(rng.random(shape) < density)
 
 
 class TestMatchInstance:
