@@ -145,9 +145,23 @@ def _require(cond: bool, where: str, what: str) -> None:
 def _as_int(value: object, where: str, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: field '{key}' must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{where}: field '{key}' must be an integer")
     out = int(value)
     if out != value:
         raise ParseError(f"{where}: field '{key}' must be an integer")
+    return out
+
+
+def _as_coord(value: object, where: str, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: field '{key}' must be a number")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ParseError(f"{where}: field '{key}' must be finite")
     return out
 
 
@@ -202,20 +216,21 @@ def parse_dataset(text: str) -> Dataset:
             where,
             "field 'bbox' must be [x, y, w, h]",
         )
+        box = tuple(_as_coord(v, where, f"bbox[{j}]") for j, v in enumerate(bbox))
         seg = rec.get("segmentation")
         _require(isinstance(seg, list), where, "field 'segmentation' must be a list of rings")
         h, w = dims[iid]
         rings: list[Ring] = []
-        for ring in seg:
+        for r, ring in enumerate(seg):
             _require(
                 isinstance(ring, list) and len(ring) % 2 == 0,
                 where,
                 "each ring must be a flat [x0, y0, x1, y1, ...] list",
             )
+            xy = [_as_coord(v, where, f"segmentation[{r}][{i}]") for i, v in enumerate(ring)]
             pts = tuple(
-                Keypoint(_clamp(float(ring[i]), 0.0, float(w)),
-                         _clamp(float(ring[i + 1]), 0.0, float(h)))
-                for i in range(0, len(ring), 2)
+                Keypoint(_clamp(xy[i], 0.0, float(w)), _clamp(xy[i + 1], 0.0, float(h)))
+                for i in range(0, len(xy), 2)
             )
             rings.append(pts)
         per_image[iid].append(
@@ -223,7 +238,7 @@ def parse_dataset(text: str) -> Dataset:
                 instance_id=aid,
                 category_id=cid,
                 rings=tuple(rings),
-                bbox=tuple(float(v) for v in bbox),
+                bbox=box,
             )
         )
 

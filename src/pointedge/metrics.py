@@ -170,39 +170,103 @@ def _rule_tables() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
 
 _SIMPLE, _DELETABLE = _rule_tables()
 
-
-def _thin_pass(a: np.ndarray) -> bool:
-    """One two-subiteration parallel thinning pass; returns True if changed."""
-    changed = False
-    for table in _DELETABLE:
-        removable = a & np.take(table, _codes(a))
-        if removable.any():
-            a[removable] = False
-            changed = True
-    return changed
+# The bit a neighbour in direction k loses from its own code when the centre
+# is unset: the centre lies in direction k + 4 (mod 8) from it.
+_OPPOSITE_BITS = np.array([1 << ((k + 4) % 8) for k in range(8)], dtype=np.uint8)
 
 
-def _break_blocks(a: np.ndarray) -> bool:
+def _neighbour_offsets(stride: int) -> np.ndarray:
+    """Flat offsets of the eight neighbours, in code-bit order, for a row stride."""
+    return np.array(
+        [-stride, 1 - stride, 1, stride + 1, stride, stride - 1, -1, -stride - 1],
+        dtype=np.intp,
+    )
+
+
+_Marks = tuple[np.ndarray, np.ndarray]
+
+
+def _unset(
+    a: np.ndarray, codes: np.ndarray, marks: _Marks, offsets: np.ndarray, gone: np.ndarray
+) -> None:
+    """Unset the flat pixels ``gone``; update their neighbours' codes and marks.
+
+    A neighbour shared by several deleted pixels loses one bit for each of
+    them, which ``np.subtract.at`` applies in full.
+    """
+    a[gone] = False
+    near = (gone[:, None] + offsets).ravel()
+    np.subtract.at(codes, near, np.tile(_OPPOSITE_BITS, len(gone)))
+    for mark in marks:
+        mark[near] = True
+
+
+def _passes(a: np.ndarray, codes: np.ndarray, marks: _Marks, offsets: np.ndarray) -> None:
+    """Parallel Guo-Hall subiterations, each over the pixels marked for its table.
+
+    A subiteration reads every marked code before it deletes anything, clears
+    its table's marks, and marks the neighbours of what it deleted for both
+    tables. Two subiterations in a row that delete nothing are a full pass
+    that changes nothing, the fixed point.
+    """
+    k, idle = 0, 0
+    while idle < 2:
+        candidates = np.flatnonzero(marks[k])
+        marks[k][candidates] = False
+        gone = candidates[a[candidates] & _DELETABLE[k][codes[candidates]]]
+        del candidates  # before _unset: the first work-list is every set pixel
+        if gone.size:
+            _unset(a, codes, marks, offsets, gone)
+            idle = 0
+        else:
+            idle += 1
+        k = 1 - k
+
+
+def _full_blocks(a: np.ndarray) -> np.ndarray:
+    """Top-left corners of 2x2 all-ones blocks."""
+    return a[:-1, :-1] & a[:-1, 1:] & a[1:, :-1] & a[1:, 1:]
+
+
+def _qualifying_blocks(full: np.ndarray, simple: np.ndarray) -> np.ndarray:
+    """The blocks of ``full`` that hold a simple pixel."""
+    return full & (simple[:-1, :-1] | simple[:-1, 1:] | simple[1:, :-1] | simple[1:, 1:])
+
+
+def _break_blocks(a: np.ndarray, codes: np.ndarray, marks: _Marks, offsets: np.ndarray) -> bool:
     """Sequentially delete simple pixels from 2x2 all-ones blocks.
 
-    Each step takes the first block, in row-major order, that holds a pixel
-    with crossing number 1 and deletes that block's first such pixel in
-    top-left, top-right, bottom-left, bottom-right order.
+    Each step takes the first qualifying block in row-major order and deletes
+    its first simple pixel in top-left, top-right, bottom-left, bottom-right
+    order. A deletion changes the simple mask only in the pixel's 3x3 window
+    and the block mask only for blocks with top-left in rows ``y-2..y+1`` and
+    columns ``x-2..x+1``, so only those are recomputed, and the next block is
+    searched from the earlier of that window and the block just broken.
+    Returns True if anything was deleted.
     """
-    changed = False
-    while True:
-        simple = a & np.take(_SIMPLE, _codes(a))
-        full = a[:-1, :-1] & a[:-1, 1:] & a[1:, :-1] & a[1:, 1:]
-        some = simple[:-1, :-1] | simple[:-1, 1:] | simple[1:, :-1] | simple[1:, 1:]
-        qualifies = full & some
-        if not qualifies.any():
-            return changed
-        by, bx = np.unravel_index(np.argmax(qualifies), qualifies.shape)
+    full = _full_blocks(a)
+    if not full.any():
+        return False
+    simple = a & np.take(_SIMPLE, codes)
+    blocks = _qualifying_blocks(full, simple)
+    flat_blocks, width = blocks.ravel(), blocks.shape[1]
+    first = int(np.argmax(flat_blocks))
+    broke = False
+    while flat_blocks[first]:
+        by, bx = divmod(first, width)
         for y, x in ((by, bx), (by, bx + 1), (by + 1, bx), (by + 1, bx + 1)):
             if simple[y, x]:
-                a[y, x] = False
                 break
-        changed = True
+        _unset(a.ravel(), codes.ravel(), marks, offsets, np.array([y * a.shape[1] + x]))
+        window = (slice(y - 1, y + 2), slice(x - 1, x + 2))
+        simple[window] = a[window] & _SIMPLE[codes[window]]
+        y0, x0 = max(y - 2, 0), max(x - 2, 0)
+        near = (slice(y0, y + 3), slice(x0, x + 3))
+        blocks[y0:y + 2, x0:x + 2] = _qualifying_blocks(_full_blocks(a[near]), simple[near])
+        start = min(first, y0 * width + x0)
+        first = start + int(np.argmax(flat_blocks[start:]))
+        broke = True
+    return broke
 
 
 def thin(edges: BitMap) -> BitMap:
@@ -214,14 +278,27 @@ def thin(edges: BitMap) -> BitMap:
     number 1, and repeats until globally stable. The output is a subset of
     the input, preserves 8-connectivity, contains no 2x2 all-ones block, and
     is a fixed point of the procedure (so ``thin`` is idempotent).
+
+    Each step costs in proportion to what changed, not to the frame. The
+    map is padded once and its neighbour codes are built once, then kept up
+    to date: unsetting a pixel clears the matching bit in each neighbour's
+    code. Each subiteration table has a work-list mask, at first every set
+    pixel; a subiteration looks up only the pixels marked for its table and
+    clears those marks, and every deletion marks its eight neighbours for
+    both tables, since no other pixel's code has changed. Block breaking
+    recomputes the simple and block masks only around each deletion. The
+    deletions, and so the output, are exactly those of recomputing every
+    code over the whole frame at every step.
     """
-    a = edges.bits.copy()
+    a = np.pad(edges.bits, 1)  # every neighbour of a set pixel is in the grid
+    codes = _codes(a)
+    offsets = _neighbour_offsets(a.shape[1])
+    marks = (a.ravel().copy(), a.ravel().copy())
     while True:
-        while _thin_pass(a):
-            pass
+        _passes(a.ravel(), codes.ravel(), marks, offsets)
         # The passes just reached a fixed point, so an unbroken map is final.
-        if not _break_blocks(a):
-            return BitMap(a)
+        if not _break_blocks(a, codes, marks, offsets):
+            return BitMap(a[1:-1, 1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +429,8 @@ def _image_curves(
     thin_cache: dict[bytes, BitMap] = {}
 
     def thinned(bits: BitMap) -> BitMap:
-        key = bits.bits.tobytes()
+        # Every map of one image has its shape, so the packed bits are exact.
+        key = np.packbits(bits.bits).tobytes()
         if key not in thin_cache:
             thin_cache[key] = thin(bits)
         return thin_cache[key]

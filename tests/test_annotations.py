@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,58 @@ class TestParseDataset:
     def test_roundtrip_identity(self):
         ds = parse_dataset(TRIANGLE_DOC)
         assert parse_dataset(serialize_dataset(ds)) == ds
+
+
+def triangle_with(bbox=(2, 2, 10, 8), ring=(2, 2, 12, 3, 6, 10)) -> str:
+    """TRIANGLE_DOC with annotation 7's bbox or ring replaced."""
+    annotation = {
+        "id": 7, "image_id": 1, "category_id": 0,
+        "bbox": list(bbox), "segmentation": [list(ring)],
+    }
+    return doc([{"id": 1, "height": 20, "width": 30}], [annotation])
+
+
+BAD_NUMBERS = [
+    ("x", "must be a number"),
+    (True, "must be a number"),
+    (None, "must be a number"),
+    (float("nan"), "must be finite"),
+    (float("inf"), "must be finite"),
+    (-float("inf"), "must be finite"),
+    (10**400, "must be finite"),
+]
+
+
+class TestCoordinateValidation:
+    @pytest.mark.parametrize("value,what", BAD_NUMBERS)
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_bad_ring_coordinate(self, value, what, index):
+        ring = [2, 2, 12, 3, 6, 10]
+        ring[index] = value
+        field = re.escape(f"field 'segmentation[0][{index}]' {what}")
+        with pytest.raises(ParseError, match=f"annotation 7: {field}"):
+            parse_dataset(triangle_with(ring=ring))
+
+    @pytest.mark.parametrize("value,what", BAD_NUMBERS)
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_bad_bbox_entry(self, value, what, index):
+        bbox = [2, 2, 10, 8]
+        bbox[index] = value
+        field = re.escape(f"field 'bbox[{index}]' {what}")
+        with pytest.raises(ParseError, match=f"annotation 7: {field}"):
+            parse_dataset(triangle_with(bbox=bbox))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_id_rejected(self, value):
+        text = doc([{"id": 1, "height": value, "width": 30}], [])
+        with pytest.raises(ParseError, match="image 1: field 'height' must be an integer"):
+            parse_dataset(text)
+
+    def test_float_and_integer_coordinates_accepted(self):
+        text = triangle_with(bbox=(2.5, 2, 10, 8.25), ring=(2.5, 2, 12, 3.75, 6, 10))
+        inst = parse_dataset(text).images[0].instances[0]
+        assert inst.bbox == (2.5, 2.0, 10.0, 8.25)
+        assert inst.rings[0] == ring_of((2.5, 2), (12, 3.75), (6, 10))
 
 
 class TestValidation:

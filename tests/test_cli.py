@@ -165,6 +165,18 @@ class TestMakeTargets:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["x", float("nan"), True])
+    def test_bad_coordinate_exits_1(self, tmp_path, capsys, bad):
+        doc = json.loads(json.dumps(ANN_DOC))
+        doc["annotations"][1]["segmentation"][0][4] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["make-targets", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "annotation 2: field 'segmentation[0][4]'" in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_perfect_predictions(self, ann_path, tmp_path, capsys):
