@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from collections import UserDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .annotations import Dataset, parse_dataset, subsample_keypoints
+from .annotations import Dataset, _as_int, parse_dataset, subsample_keypoints
 from .kernels import (
     FeatureMap,
     QuerySet,
@@ -134,14 +135,23 @@ def cmd_make_targets(args: argparse.Namespace) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _load_predictions(
-    pred_dir: Path, dataset: Dataset
-) -> dict[int, dict[int, GrayMap]]:
-    """Read the prediction manifest and its per-instance graymaps.
+class _LazyMaps(UserDict):
+    """One image's graymap paths by instance id; looking an id up reads its map.
 
-    The manifest pairs each prediction file with an annotated instance;
-    unknown ids, category mismatches, and duplicates are validation errors.
-    Annotated instances absent from the manifest are simply not predicted.
+    Membership, iteration and length use the paths alone and read no file.
+    """
+
+    def __getitem__(self, instance_id: int) -> GrayMap:
+        return read_graymap(self.data[instance_id])
+
+
+def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
+    """Read the prediction manifest into per-image maps that read on lookup.
+
+    Checks the manifest's structure, id types, category agreement and
+    duplicates; :func:`evaluate` checks the ids against the dataset and reads
+    each map when its image is scored. Instances absent from the manifest are
+    simply not predicted.
     """
     manifest_path = pred_dir / "manifest.json"
     try:
@@ -150,8 +160,12 @@ def _load_predictions(
         raise ValueError(f"{manifest_path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError(f"{manifest_path}: expected an object with an 'entries' list")
-    by_image = {image.image_id: image for image in dataset.images}
-    predictions: dict[int, dict[int, GrayMap]] = {}
+    categories = {
+        (image.image_id, inst.instance_id): inst.category_id
+        for image in dataset.images
+        for inst in image.instances
+    }
+    predictions: dict[int, _LazyMaps] = {}
     for pos, entry in enumerate(doc["entries"]):
         where = f"{manifest_path}: entry {pos}"
         if not isinstance(entry, dict):
@@ -159,28 +173,23 @@ def _load_predictions(
         for key in ("image_id", "instance_id", "category_id", "bbox", "file"):
             if key not in entry:
                 raise ValueError(f"{where}: missing key '{key}'")
-        image = by_image.get(entry["image_id"])
-        if image is None:
-            raise ValueError(f"{where}: unknown image_id {entry['image_id']}")
-        by_instance = {inst.instance_id: inst for inst in image.instances}
-        inst = by_instance.get(entry["instance_id"])
-        if inst is None:
+        image_id, instance_id, category_id = (
+            _as_int(entry[key], where, key)
+            for key in ("image_id", "instance_id", "category_id")
+        )
+        expected = categories.get((image_id, instance_id), category_id)
+        if category_id != expected:
             raise ValueError(
-                f"{where}: image {image.image_id} has no instance_id "
-                f"{entry['instance_id']}"
+                f"{where}: category_id {category_id} does not match "
+                f"the annotation's {expected}"
             )
-        if entry["category_id"] != inst.category_id:
+        slot = predictions.setdefault(image_id, _LazyMaps())
+        if instance_id in slot:
             raise ValueError(
-                f"{where}: category_id {entry['category_id']} does not match "
-                f"the annotation's {inst.category_id}"
+                f"{where}: duplicate prediction for image {image_id} "
+                f"instance {instance_id}"
             )
-        slot = predictions.setdefault(image.image_id, {})
-        if inst.instance_id in slot:
-            raise ValueError(
-                f"{where}: duplicate prediction for image {image.image_id} "
-                f"instance {inst.instance_id}"
-            )
-        slot[inst.instance_id] = read_graymap(pred_dir / str(entry["file"]))
+        slot[instance_id] = pred_dir / str(entry["file"])
     return predictions
 
 
@@ -436,7 +445,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .annotations import Dataset, ImageRecord, InstanceAnnotation
 from .raster import BitMap, GrayMap, rasterize_polyline
@@ -328,8 +329,7 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
     if n_gt == 0 or n_pred == 0:
         return MatchResult((), pred_total=n_pred, gt_total=n_gt)
     d = cfg.max_distance(*pred.bits.shape)
-    diff = gt_xy[:, None, :].astype(np.float64) - pred_xy[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=2))
+    dists = cdist(gt_xy, pred_xy)
     candidate = dists < d
     if not candidate.any():
         return MatchResult((), pred_total=n_pred, gt_total=n_gt)
@@ -416,37 +416,35 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
 
 
 def _image_curves(
-    image: ImageRecord,
-    inst_maps: Mapping[int, GrayMap],
-    extra_maps: Sequence[GrayMap],
-    cfg: EvalConfig,
+    image: ImageRecord, maps: Sequence[GrayMap | None], cfg: EvalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-threshold precision, recall, and F arrays for one image."""
+    """Per-threshold precision, recall, and F arrays for one image.
+
+    ``maps`` holds one map or None per instance, then the unpaired maps.
+    """
+    empty_gt = BitMap(np.zeros((image.height, image.width), dtype=bool))
     gt_thin = [
         thin(rasterize_polyline(inst, image.height, image.width))
         for inst in image.instances
     ]
-    thin_cache: dict[bytes, BitMap] = {}
+    gt_thin += [empty_gt] * (len(maps) - len(gt_thin))
+    thin_cache: dict[bytes, np.ndarray] = {}
 
     def thinned(bits: BitMap) -> BitMap:
         # Every map of one image has its shape, so the packed bits are exact.
         key = np.packbits(bits.bits).tobytes()
         if key not in thin_cache:
-            thin_cache[key] = thin(bits)
-        return thin_cache[key]
+            thin_cache[key] = np.packbits(thin(bits).bits)
+        unpacked = np.unpackbits(thin_cache[key], count=bits.bits.size)
+        return BitMap(unpacked.view(bool).reshape(bits.bits.shape))
 
-    empty_gt = BitMap(np.zeros((image.height, image.width), dtype=bool))
     precisions, recalls, fs = [], [], []
     for t in cfg.thresholds:
-        results = []
-        for inst, gt_map in zip(image.instances, gt_thin):
-            pm = inst_maps.get(inst.instance_id)
-            if pm is None:
-                results.append(MatchResult((), pred_total=0, gt_total=gt_map.count()))
-                continue
-            results.append(match_instance(thinned(binarize(pm, t)), gt_map, cfg))
-        for extra in extra_maps:
-            results.append(match_instance(thinned(binarize(extra, t)), empty_gt, cfg))
+        results = [
+            MatchResult((), pred_total=0, gt_total=gt_map.count()) if pm is None
+            else match_instance(thinned(binarize(pm, t)), gt_map, cfg)
+            for pm, gt_map in zip(maps, gt_thin)
+        ]
         p, r = image_pr(results)
         precisions.append(p)
         recalls.append(r)
@@ -470,53 +468,46 @@ def evaluate(
     ``unpaired`` optionally carries leftover prediction maps per image, which
     count toward the prediction totals with zero matches.
 
-    Per-image evaluations are independent and run on ``workers`` threads; the
+    Ids are checked from the mapping keys before any map is looked up. Each
+    map is looked up once, when its image is scored on one of ``workers``
+    threads, so at most ``workers`` images' maps are in use at once. The
     reduction is ordered by image id, so results do not depend on ``workers``.
 
     Raises:
         ValueError: a prediction references an unknown image or instance, or
-            a map's dimensions disagree with its image.
+            a map's dimensions disagree with its image (found when scored).
     """
     if not gts.images:
         raise ValueError("dataset has no images")
     by_id = {image.image_id: image for image in gts.images}
     unpaired = unpaired or {}
-    for image_id, inst_maps in predictions.items():
+    for image_id in (*predictions, *unpaired):
         if image_id not in by_id:
             raise ValueError(f"prediction for unknown image_id {image_id}")
-        image = by_id[image_id]
-        known = {inst.instance_id for inst in image.instances}
-        for instance_id, graymap in inst_maps.items():
+    for image_id, inst_maps in predictions.items():
+        known = {inst.instance_id for inst in by_id[image_id].instances}
+        for instance_id in inst_maps:
             if instance_id not in known:
                 raise ValueError(
                     f"image {image_id}: prediction for unknown instance_id {instance_id}"
                 )
-            if (graymap.height, graymap.width) != (image.height, image.width):
-                raise ValueError(
-                    f"image {image_id}: prediction map is "
-                    f"{graymap.height}x{graymap.width}, image is "
-                    f"{image.height}x{image.width}"
-                )
-    for image_id, extras in unpaired.items():
-        if image_id not in by_id:
-            raise ValueError(f"unpaired prediction for unknown image_id {image_id}")
-        image = by_id[image_id]
-        for graymap in extras:
-            if (graymap.height, graymap.width) != (image.height, image.width):
-                raise ValueError(
-                    f"image {image_id}: unpaired map dimensions disagree with image"
-                )
-
-    ordered = sorted(by_id)
 
     def run(image_id: int):
-        return _image_curves(
-            by_id[image_id],
-            predictions.get(image_id, {}),
-            unpaired.get(image_id, ()),
-            cfg,
-        )
+        image = by_id[image_id]
+        inst_maps = predictions.get(image_id, {})
+        maps = [inst_maps.get(inst.instance_id) for inst in image.instances]
+        maps += unpaired.get(image_id, ())
+        labels = [f"instance {inst.instance_id}" for inst in image.instances]
+        labels += ["an unpaired map"] * (len(maps) - len(labels))
+        for label, graymap in zip(labels, maps):
+            if graymap is not None and graymap.values.shape != (image.height, image.width):
+                raise ValueError(
+                    f"image {image_id}: prediction for {label} is "
+                    f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"
+                )
+        return _image_curves(image, maps, cfg)
 
+    ordered = sorted(by_id)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_image = list(pool.map(run, ordered))

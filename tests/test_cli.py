@@ -5,9 +5,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pointedge import parse_dataset, rasterize_polyline, write_graymap
+from pointedge import GrayMap, parse_dataset, rasterize_polyline, write_graymap
 from pointedge.cli import main
 
 ANN_DOC = {
@@ -177,6 +178,18 @@ class TestMakeTargets:
         assert "annotation 2: field 'segmentation[0][4]'" in err
         assert "Traceback" not in err
 
+    def test_unallocatable_image_exits_1(self, tmp_path, capsys):
+        # numpy refuses the 10^18-pixel target at once, before touching memory.
+        doc = json.loads(json.dumps(ANN_DOC))
+        doc["images"][0].update(height=10**9, width=10**9)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main(["make-targets", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_perfect_predictions(self, ann_path, tmp_path, capsys):
@@ -292,6 +305,41 @@ class TestEval:
         code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("image_id", [1]),
+            ("image_id", True),
+            ("instance_id", {"a": 1}),
+            ("instance_id", 1.5),
+            ("category_id", "0"),
+            ("category_id", None),
+        ],
+    )
+    def test_bad_id_type_exits_1(self, ann_path, tmp_path, capsys, key, value):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        doc = json.loads((preds / "manifest.json").read_text())
+        doc["entries"][1][key] = value
+        (preds / "manifest.json").write_text(json.dumps(doc))
+        code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"entry 1: field '{key}'" in capsys.readouterr().err
+
+    def test_missing_graymap_file_exits_2(self, ann_path, tmp_path, capsys):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        (preds / "2_3.pgm").unlink()
+        code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "2_3.pgm" in capsys.readouterr().err
+
+    def test_wrong_size_graymap_exits_1(self, ann_path, tmp_path, capsys):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        write_graymap(GrayMap(np.full((4, 4), 0.5)), preds / "1_2.pgm")
+        code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "image 1: prediction for instance 2 is 4x4, image is 16x16" in err
 
     def test_missing_predictions_dir_exits_2(self, ann_path, tmp_path, capsys):
         code = main(

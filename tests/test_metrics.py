@@ -1,6 +1,7 @@
 """Tests for thinning, matching, accumulation, pairing, and ODS/OIS."""
 
 import hashlib
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -403,6 +404,24 @@ class TestEvalConfig:
             EvalConfig(thresholds=(0.5, 1.0))
 
 
+class RecordingMaps(Mapping):
+    """One image's maps; records (image_id, instance_id) of each map handed out."""
+
+    def __init__(self, image_id, maps, lookups):
+        self.image_id, self.maps, self.lookups = image_id, maps, lookups
+
+    def __getitem__(self, instance_id):
+        graymap = self.maps[instance_id]
+        self.lookups.append((self.image_id, instance_id))
+        return graymap
+
+    def __iter__(self):
+        return iter(self.maps)
+
+    def __len__(self):
+        return len(self.maps)
+
+
 def exact_prediction_setup():
     inst = flat_ring_instance(2, 9, 4, instance_id=1)
     image = ImageRecord(image_id=1, height=16, width=16, instances=(inst,))
@@ -517,9 +536,32 @@ class TestEvaluate:
             evaluate({1: {9: predictions[1][1]}}, dataset)
 
     def test_dimension_mismatch_rejected(self):
-        dataset, _ = exact_prediction_setup()
-        with pytest.raises(ValueError):
-            evaluate({1: {1: GrayMap(np.zeros((8, 8)))}}, dataset)
+        dataset, predictions = exact_prediction_setup()
+        small = GrayMap(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="image 1: prediction for instance 1 is 8x8"):
+            evaluate({1: {1: small}}, dataset)
+        with pytest.raises(ValueError, match="image 1: prediction for an unpaired map is 8x8"):
+            evaluate(predictions, dataset, unpaired={1: [small]})
+
+    def test_each_map_looked_up_once_image_by_image(self):
+        dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
+        lookups = []
+        recording = {i: RecordingMaps(i, maps, lookups) for i, maps in predictions.items()}
+        assert evaluate(recording, dataset, workers=1) == evaluate(predictions, dataset)
+        assert sorted(lookups) == sorted(
+            (i, j) for i, maps in predictions.items() for j in maps
+        )
+        images = [i for i, _ in lookups]
+        assert images == sorted(images)
+
+    def test_unknown_instance_rejected_before_any_lookup(self):
+        dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
+        predictions[4][99] = predictions[4][1]
+        lookups = []
+        recording = {i: RecordingMaps(i, maps, lookups) for i, maps in predictions.items()}
+        with pytest.raises(ValueError, match="image 4: prediction for unknown instance_id 99"):
+            evaluate(recording, dataset)
+        assert lookups == []
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
