@@ -178,7 +178,7 @@ def parse_dataset(text: str) -> Dataset:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "document", "top level must be an object")
     for key in ("images", "annotations", "categories"):

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .annotations import Dataset, _as_int, parse_dataset, subsample_keypoints
+from .annotations import Dataset, ParseError, _as_int, parse_dataset, subsample_keypoints
 from .kernels import (
     FeatureMap,
     QuerySet,
@@ -91,13 +91,21 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _read_dataset(path: str) -> Dataset:
+    """Read and parse a UTF-8 annotation document; its errors name the file."""
+    try:
+        return parse_dataset(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # make-targets
 # ---------------------------------------------------------------------------
 
 def cmd_make_targets(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    dataset = parse_dataset(Path(args.annotations).read_text())
+    dataset = _read_dataset(args.annotations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries: list[dict[str, object]] = []
@@ -155,8 +163,8 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
     """
     manifest_path = pred_dir / "manifest.json"
     try:
-        doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise ValueError(f"{manifest_path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError(f"{manifest_path}: expected an object with an 'entries' list")
@@ -189,13 +197,15 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
                 f"{where}: duplicate prediction for image {image_id} "
                 f"instance {instance_id}"
             )
-        slot[instance_id] = pred_dir / str(entry["file"])
+        if not isinstance(entry["file"], str):
+            raise ParseError(f"{where}: field 'file' must be a string")
+        slot[instance_id] = pred_dir / entry["file"]
     return predictions
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    dataset = parse_dataset(Path(args.annotations).read_text())
+    dataset = _read_dataset(args.annotations)
     predictions = _load_predictions(Path(args.predictions), dataset)
     cfg = EvalConfig(max_dist_fraction=args.dist_fraction)
     summary = evaluate(predictions, dataset, cfg, workers=args.workers)

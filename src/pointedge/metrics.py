@@ -416,11 +416,12 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
 
 
 def _image_curves(
-    image: ImageRecord, maps: Sequence[GrayMap | None], cfg: EvalConfig
+    image: ImageRecord, maps: Sequence[GrayMap], cfg: EvalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-threshold precision, recall, and F arrays for one image.
 
-    ``maps`` holds one map or None per instance, then the unpaired maps.
+    ``maps`` holds one map per instance, then the unpaired maps. Match results
+    are kept per (slot, binarized map), thinned maps only within a threshold.
     """
     empty_gt = BitMap(np.zeros((image.height, image.width), dtype=bool))
     gt_thin = [
@@ -428,23 +429,20 @@ def _image_curves(
         for inst in image.instances
     ]
     gt_thin += [empty_gt] * (len(maps) - len(gt_thin))
-    thin_cache: dict[bytes, np.ndarray] = {}
-
-    def thinned(bits: BitMap) -> BitMap:
-        # Every map of one image has its shape, so the packed bits are exact.
-        key = np.packbits(bits.bits).tobytes()
-        if key not in thin_cache:
-            thin_cache[key] = np.packbits(thin(bits).bits)
-        unpacked = np.unpackbits(thin_cache[key], count=bits.bits.size)
-        return BitMap(unpacked.view(bool).reshape(bits.bits.shape))
-
+    matches: dict[tuple[int, bytes], MatchResult] = {}
     precisions, recalls, fs = [], [], []
     for t in cfg.thresholds:
-        results = [
-            MatchResult((), pred_total=0, gt_total=gt_map.count()) if pm is None
-            else match_instance(thinned(binarize(pm, t)), gt_map, cfg)
-            for pm, gt_map in zip(maps, gt_thin)
-        ]
+        thinned: dict[bytes, BitMap] = {}
+        results = []
+        for slot, (pm, gt_map) in enumerate(zip(maps, gt_thin)):
+            bits = binarize(pm, t)
+            # Every map of one image has its shape, so the packed bits are exact.
+            key = np.packbits(bits.bits).tobytes()
+            if (slot, key) not in matches:
+                if key not in thinned:
+                    thinned[key] = thin(bits)
+                matches[slot, key] = match_instance(thinned[key], gt_map, cfg)
+            results.append(matches[slot, key])
         p, r = image_pr(results)
         precisions.append(p)
         recalls.append(r)
@@ -464,9 +462,9 @@ def evaluate(
 
     ``predictions`` maps image_id -> instance_id -> probability map for
     predictions already paired to ground-truth instances (see
-    :func:`pair_instances`); instances without a map are scored as empty.
-    ``unpaired`` optionally carries leftover prediction maps per image, which
-    count toward the prediction totals with zero matches.
+    :func:`pair_instances`); an instance without a map is scored as an
+    all-zero map. ``unpaired`` optionally carries leftover prediction maps
+    per image, which count toward the prediction totals with zero matches.
 
     Ids are checked from the mapping keys before any map is looked up. Each
     map is looked up once, when its image is scored on one of ``workers``
@@ -496,11 +494,13 @@ def evaluate(
         image = by_id[image_id]
         inst_maps = predictions.get(image_id, {})
         maps = [inst_maps.get(inst.instance_id) for inst in image.instances]
+        blank = GrayMap(np.zeros((image.height, image.width))) if None in maps else None
+        maps = [blank if graymap is None else graymap for graymap in maps]
         maps += unpaired.get(image_id, ())
         labels = [f"instance {inst.instance_id}" for inst in image.instances]
         labels += ["an unpaired map"] * (len(maps) - len(labels))
         for label, graymap in zip(labels, maps):
-            if graymap is not None and graymap.values.shape != (image.height, image.width):
+            if graymap.values.shape != (image.height, image.width):
                 raise ValueError(
                     f"image {image_id}: prediction for {label} is "
                     f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"

@@ -49,20 +49,23 @@ def _read_raw(path: str | Path) -> tuple[np.ndarray, int]:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
+        # No file holds 10^20 samples, and int() refuses very long digit runs.
+        if not token.isdigit() or len(token) > 20:
             raise ValueError(f"{path}: malformed PGM header near byte {start}")
         fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1 or not (1 <= maxval <= 65535):
         raise ValueError(f"{path}: invalid PGM dimensions {width}x{height} maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
-    dtype = ">u2" if maxval > 255 else np.uint8
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
     count = width * height
-    samples = np.frombuffer(data, dtype=dtype, count=-1, offset=pos)
-    if samples.size != count:
+    found = max(len(data) - pos, 0)
+    if found != count * dtype.itemsize:
         raise ValueError(
-            f"{path}: expected {count} samples, found {samples.size}"
+            f"{path}: expected {count} samples of {dtype.itemsize} byte(s), "
+            f"found {found} bytes"
         )
+    samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     if samples.max(initial=0) > maxval:
         raise ValueError(f"{path}: sample exceeds declared maxval {maxval}")
     return samples.reshape(height, width), maxval

@@ -326,6 +326,16 @@ class TestEval:
         assert code == 1
         assert f"entry 1: field '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [None, 3, ["1_2.pgm"]])
+    def test_non_string_file_exits_1(self, ann_path, tmp_path, capsys, value):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        doc = json.loads((preds / "manifest.json").read_text())
+        doc["entries"][1]["file"] = value
+        (preds / "manifest.json").write_text(json.dumps(doc))
+        code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "entry 1: field 'file' must be a string" in capsys.readouterr().err
+
     def test_missing_graymap_file_exits_2(self, ann_path, tmp_path, capsys):
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
         (preds / "2_3.pgm").unlink()
@@ -381,6 +391,34 @@ class TestEval:
         )
         capsys.readouterr()
         assert "lambda: 0.05" in (out / "report.txt").read_text()
+
+
+UNDECODABLE_JSON = {
+    "too-deep": b"[" * 100000 + b"]" * 100000,
+    "not-utf-8": b'{"images": [], "annotations": [], "categories": [], "n": "\xff"}',
+}
+
+
+class TestUndecodableJson:
+    """JSON the parser cannot decode fails with exit 1 and names the file."""
+
+    @pytest.mark.parametrize("content", sorted(UNDECODABLE_JSON))
+    @pytest.mark.parametrize(
+        "command, target",
+        [("make-targets", "annotations"), ("eval", "annotations"), ("eval", "manifest")],
+    )
+    def test_exits_1_naming_the_file(
+        self, ann_path, tmp_path, capsys, command, target, content
+    ):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        bad = ann_path if target == "annotations" else preds / "manifest.json"
+        bad.write_bytes(UNDECODABLE_JSON[content])
+        args = [str(ann_path), str(preds)] if command == "eval" else [str(ann_path)]
+        code = main([command, *args, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
 
 
 class TestLossCheck:

@@ -16,6 +16,7 @@ from pointedge import (
     PredictedInstance,
     bbox_iou,
     binarize,
+    build_tunnel_target,
     edge_nodes,
     evaluate,
     fscore,
@@ -562,6 +563,57 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="image 4: prediction for unknown instance_id 99"):
             evaluate(recording, dataset)
         assert lookups == []
+
+    def test_each_binarized_map_thinned_and_matched_once(self, monkeypatch):
+        import pointedge.metrics
+
+        first = flat_ring_instance(2, 9, 4, instance_id=1)
+        second = flat_ring_instance(3, 12, 9, instance_id=2)
+        third = flat_ring_instance(1, 6, 13, instance_id=3)
+        image = ImageRecord(
+            image_id=1, height=16, width=16, instances=(first, second, third)
+        )
+        dataset = Dataset(images=(image,), categories={0: "thing"})
+        # Tunnel values {0, 0.7, 1} binarize to 2 distinct maps over the 20
+        # thresholds; three positive levels give the identical maps 3 each.
+        tunnel = build_tunnel_target(first, 16, 16).map
+        levels = np.random.default_rng(4).choice([0.02, 0.5, 1.0], size=(16, 16))
+        predictions = {1: {1: tunnel, 2: GrayMap(levels), 3: GrayMap(levels)}}
+        cfg = EvalConfig()
+        distinct = {
+            (instance_id, binarize(graymap, t).bits.tobytes())
+            for instance_id, graymap in predictions[1].items()
+            for t in cfg.thresholds
+        }
+        assert len(distinct) == 2 + 3 + 3
+
+        calls = {"thin": [], "match_instance": 0}
+        real_thin, real_match = pointedge.metrics.thin, pointedge.metrics.match_instance
+
+        def counting_thin(edges):
+            calls["thin"].append(edges.bits.copy())
+            return real_thin(edges)
+
+        def counting_match(*args):
+            calls["match_instance"] += 1
+            return real_match(*args)
+
+        monkeypatch.setattr(pointedge.metrics, "thin", counting_thin)
+        monkeypatch.setattr(pointedge.metrics, "match_instance", counting_match)
+        summary = evaluate(predictions, dataset, cfg)
+        monkeypatch.undo()
+
+        assert calls["match_instance"] == len(distinct)
+        assert sum(bits.all() for bits in calls["thin"]) == 1
+        ods, ois, curve = eval_oracle(
+            predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
+        )
+        assert summary.ods == pytest.approx(ods, abs=1e-9)
+        assert summary.ois == pytest.approx(ois, abs=1e-9)
+        for pt, (t, p, r, f) in zip(summary.curve, curve):
+            assert (pt.threshold, pt.precision, pt.recall, pt.fscore) == pytest.approx(
+                (t, p, r, f), abs=1e-9
+            )
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

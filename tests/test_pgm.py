@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pointedge import (
     BitMap,
@@ -106,3 +108,82 @@ class TestReaderRobustness:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_graymap(tmp_path / "absent.pgm")
+
+
+# A valid 8-bit and a valid 16-bit file, each with a header comment.
+VALID_PGMS = {
+    "8-bit": b"P5\n# comment\n3 2\n255\n" + bytes([0, 7, 255, 128, 1, 2]),
+    "16-bit": b"P5\n3 2\n# comment\n65535\n" + np.arange(6, dtype=">u2").tobytes(),
+}
+
+
+def read_or_located_error(path):
+    """Read ``path``; any failure must be a ValueError that names the file."""
+    try:
+        return read_graymap(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return None
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("name", sorted(VALID_PGMS))
+    def test_every_truncation_fails_with_the_path(self, tmp_path, name):
+        data = VALID_PGMS[name]
+        path = tmp_path / "t.pgm"
+        path.write_bytes(data)
+        assert read_graymap(path).values.shape == (2, 3)
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            assert read_or_located_error(path) is None, end
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"P5\n3 2\n255", "header ends right after maxval"),
+            (b"P5\n1 1\n65535\n\x00", "odd byte count of 16-bit samples"),
+            (b"P5\n1 1\n65535\n\x00\x00\x00", "odd byte count of 16-bit samples"),
+            (b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00", "5000-digit width"),
+        ],
+        ids=["maxval-at-end", "16-bit-1-byte", "16-bit-3-bytes", "5000-digit-width"],
+    )
+    def test_bad_lengths_name_the_file(self, tmp_path, data, reason):
+        path = tmp_path / "s.pgm"
+        path.write_bytes(data)
+        assert read_or_located_error(path) is None, reason
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        name=st.sampled_from(sorted(VALID_PGMS)),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["replace", "insert", "delete"]),
+                st.integers(0, 24),
+                st.integers(0, 255),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_mutated_header_reads_or_fails_with_the_path(self, tmp_path, name, edits):
+        data = bytearray(VALID_PGMS[name])
+        header = len(data) - 6 * (2 if name == "16-bit" else 1)
+        for op, at, value in edits:
+            at = at % header
+            if op == "replace":
+                data[at] = value
+            elif op == "insert":
+                data.insert(at, value)
+                header += 1
+            elif header > 1:
+                del data[at]
+                header -= 1
+        path = tmp_path / "m.pgm"
+        path.write_bytes(bytes(data))
+        graymap = read_or_located_error(path)
+        if graymap is not None:
+            assert ((graymap.values >= 0.0) & (graymap.values <= 1.0)).all()
