@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from pointedge import (
     BitMap,
@@ -245,6 +247,27 @@ def brute_force_match(gt_nodes, pred_nodes, max_dist: float) -> tuple[int, float
     result = solve(0, 0)
     solve.cache_clear()
     return result
+
+
+def dense_match(gt_nodes, pred_nodes, max_dist: float) -> tuple[int, float]:
+    """Best assignment from one dense ``n_gt x n_pred`` distance matrix.
+
+    The full-matrix formulation: every pair's distance from ``cdist``,
+    pairs at or beyond ``max_dist`` priced above any feasible total, one
+    ``linear_sum_assignment`` over the whole matrix. Returns the matched
+    count and total distance, as :func:`brute_force_match` does, but stays
+    feasible for a few hundred nodes a side.
+    """
+    gt_nodes = np.asarray(gt_nodes, dtype=float).reshape(-1, 2)
+    pred_nodes = np.asarray(pred_nodes, dtype=float).reshape(-1, 2)
+    if len(gt_nodes) == 0 or len(pred_nodes) == 0:
+        return (0, 0.0)
+    dists = cdist(gt_nodes, pred_nodes)
+    candidate = dists < max_dist
+    big = (min(dists.shape) + 1.0) * max(max_dist, 1.0)
+    rows, cols = linear_sum_assignment(np.where(candidate, dists, big))
+    kept = candidate[rows, cols]
+    return (int(kept.sum()), math.fsum(dists[rows[kept], cols[kept]]))
 
 
 # ---------------------------------------------------------------------------

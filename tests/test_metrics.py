@@ -1,6 +1,7 @@
 """Tests for thinning, matching, accumulation, pairing, and ODS/OIS."""
 
 import hashlib
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -31,6 +32,7 @@ from helpers import (
     bitmap_from_pixels,
     brute_force_match,
     component_count,
+    dense_match,
     eval_oracle,
     flat_ring_instance,
     make_instance,
@@ -167,6 +169,28 @@ class TestThin:
             assert_thin_matches_reference(rng.random(shape) < density)
 
 
+def assert_optimal_match(pred: BitMap, gt: BitMap, cfg: EvalConfig, oracle) -> tuple[int, int]:
+    """Check ``match_instance`` against an oracle's (count, total distance).
+
+    Compares cardinality and cost, not which pairs were chosen: ties may
+    resolve to any optimum. Returns the (gt, pred) node counts.
+    """
+    gxy, pxy = np.argwhere(gt.bits), np.argwhere(pred.bits)
+    d = cfg.max_distance(*gt.bits.shape)
+    result = match_instance(pred, gt, cfg)
+    assert (result.gt_total, result.pred_total) == (len(gxy), len(pxy))
+    gt_side = [g for g, _ in result.matched_pairs]
+    pred_side = [p for _, p in result.matched_pairs]
+    assert len(set(gt_side)) == len(gt_side)
+    assert len(set(pred_side)) == len(pred_side)
+    dists = [math.dist(gxy[g], pxy[p]) for g, p in result.matched_pairs]
+    assert all(dist < d for dist in dists)
+    want_count, want_cost = oracle(gxy, pxy, d)
+    assert result.matched == want_count
+    assert math.fsum(dists) == pytest.approx(want_cost, abs=1e-9)
+    return len(gxy), len(pxy)
+
+
 class TestMatchInstance:
     def test_perfect_map_fully_matched(self):
         bits = np.zeros((12, 12), dtype=bool)
@@ -225,18 +249,63 @@ class TestMatchInstance:
             pred_nodes = [(int(c) // w, int(c) % w) for c in cells[n_gt:]]
             gt = bitmap_from_pixels(h, w, gt_nodes)
             pred = bitmap_from_pixels(h, w, pred_nodes)
-            result = match_instance(pred, gt, cfg)
-            d = cfg.max_distance(h, w)
-            want_count, want_cost = brute_force_match(
-                edge_nodes(gt), edge_nodes(pred), d
-            )
-            assert result.matched == want_count
-            got_cost = 0.0
-            gxy, pxy = edge_nodes(gt), edge_nodes(pred)
-            for g, p in result.matched_pairs:
-                diff = gxy[g].astype(float) - pxy[p]
-                got_cost += float(np.hypot(*diff))
-            assert got_cost == pytest.approx(want_cost, abs=1e-9)
+            assert_optimal_match(pred, gt, cfg, brute_force_match)
+
+    def test_matches_dense_assignment_on_thinned_blobs(self):
+        rng = np.random.default_rng(606)
+        cfg = EvalConfig(max_dist_fraction=0.03)  # d ~ 3.46 on 64x96
+        sizes = []
+        for _ in range(12):
+            bits = np.zeros((64, 96), dtype=bool)
+            for _ in range(int(rng.integers(8, 30))):
+                bits |= random_blob(rng, 64, 96).bits
+            shift = tuple(int(v) for v in rng.integers(-3, 4, size=2))
+            speckle = rng.random(bits.shape) < rng.uniform(0.0, 0.05)
+            gt = thin(BitMap(bits))
+            pred = thin(BitMap(np.roll(bits, shift, axis=(0, 1)) | speckle))
+            sizes.append(assert_optimal_match(pred, gt, cfg, dense_match))
+        assert max(max(s) for s in sizes) >= 250
+
+    def test_matches_dense_assignment_on_separated_clusters(self):
+        rng = np.random.default_rng(607)
+        cfg = EvalConfig(max_dist_fraction=0.02)  # d = 2.0 on 60x80
+        for _ in range(10):
+            gt_bits = np.zeros((60, 80), dtype=bool)
+            pred_bits = np.zeros_like(gt_bits)
+            # 5x5 windows 10 px apart: no candidate pair spans two windows.
+            for y0 in range(2, 60, 10):
+                for x0 in range(2, 80, 10):
+                    gt_bits[y0:y0 + 5, x0:x0 + 5] = rng.random((5, 5)) < rng.random()
+                    pred_bits[y0:y0 + 5, x0:x0 + 5] = rng.random((5, 5)) < rng.random()
+            assert_optimal_match(BitMap(pred_bits), BitMap(gt_bits), cfg, dense_match)
+
+    def test_matches_dense_assignment_on_equidistant_lattices(self):
+        cfg = EvalConfig(max_dist_fraction=0.025)  # d = 2.5 on 60x80
+        yy, xx = np.mgrid[0:60, 0:80]
+        checker = (yy + xx) % 2 == 0
+        even_cols = (xx % 2 == 0) & (yy % 3 == 0)
+        for gt_bits, pred_bits in (
+            (checker, ~checker),
+            (even_cols, np.roll(even_cols, 1, axis=1)),
+            (even_cols, np.roll(even_cols, 1, axis=0) | np.roll(even_cols, -1, axis=0)),
+            (checker & (yy < 7), ~checker & (yy > 3) & (yy < 12)),
+        ):
+            assert_optimal_match(BitMap(pred_bits), BitMap(gt_bits), cfg, dense_match)
+
+    def test_pairs_exactly_at_the_bound_never_match(self):
+        cfg = EvalConfig(max_dist_fraction=0.1)  # d = 5.0 on 30x40
+        assert cfg.max_distance(30, 40) == 5.0
+        # Every pred sits exactly 5 px (offsets (3, 4), (0, 5), (5, 0)) from
+        # its gt, and no nearer gt exists.
+        gt = bitmap_from_pixels(30, 40, [(2, 2), (2, 20), (20, 2)])
+        pred = bitmap_from_pixels(30, 40, [(5, 6), (2, 25), (25, 2)])
+        result = match_instance(pred, gt, cfg)
+        assert (result.matched, result.pred_total, result.gt_total) == (0, 3, 3)
+        # Mixed with pairs just inside the bound, only those match.
+        gt = bitmap_from_pixels(30, 40, [(2, 2), (2, 20), (20, 2), (20, 30)])
+        pred = bitmap_from_pixels(30, 40, [(5, 6), (2, 24), (25, 2), (24, 32)])
+        assert_optimal_match(pred, gt, cfg, dense_match)
+        assert match_instance(pred, gt, cfg).matched_pairs == ((1, 0), (3, 2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
