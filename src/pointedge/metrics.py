@@ -16,7 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .annotations import Dataset, ImageRecord, InstanceAnnotation
 from .raster import BitMap, GrayMap, rasterize_polyline
@@ -70,8 +72,11 @@ class EvalConfig:
 class MatchResult:
     """One instance's pixel-matching outcome.
 
-    ``matched_pairs`` holds (gt node index, pred node index) pairs; node
-    indices follow the row-major scan order of :func:`edge_nodes`.
+    ``matched_pairs`` holds (gt node index, pred node index) pairs, sorted by
+    gt index; node indices follow the row-major scan order of
+    :func:`edge_nodes`. From :func:`match_instance` they are *an* optimal
+    assignment: where several assignments tie on count and total distance,
+    which one is returned is unspecified, and only the counts enter a score.
     """
 
     matched_pairs: tuple[tuple[int, int], ...]
@@ -308,7 +313,61 @@ def thin(edges: BitMap) -> BitMap:
 
 def edge_nodes(edges: BitMap) -> np.ndarray:
     """Set-pixel coordinates as an (n, 2) array of (row, col), row-major order."""
-    return np.argwhere(edges.bits)
+    return np.stack(np.divmod(np.flatnonzero(edges.bits), edges.width), axis=1)
+
+
+def _candidates(
+    gt_xy: np.ndarray, pred_xy: np.ndarray, d: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gt index, pred index, distance) of every pair strictly closer than ``d``.
+
+    The trees' radius test is inclusive, so each found pair's distance is
+    recomputed from its integer offsets, exactly as ``cdist`` computes it,
+    and pairs at ``d`` are dropped.
+    """
+    found = cKDTree(gt_xy).sparse_distance_matrix(
+        cKDTree(pred_xy), d, output_type="ndarray"
+    )
+    g, p = found["i"], found["j"]
+    offset = gt_xy[g] - pred_xy[p]
+    dist = np.sqrt((offset * offset).sum(axis=1).astype(np.float64))
+    keep = dist < d
+    return g[keep], p[keep], dist[keep]
+
+
+def _assign(
+    g: np.ndarray, p: np.ndarray, dist: np.ndarray, n_gt: int, n_pred: int, d: float
+) -> list[tuple[int, int]]:
+    """Optimal one-to-one pairs among the candidate pairs ``(g, p)``.
+
+    The candidate graph splits into connected components that share no node,
+    so the optimum is the union of each component's optimum. A component
+    with one candidate pair is that pair; any other gets a dense cost matrix
+    over its own nodes and one ``linear_sum_assignment``.
+    """
+    graph = csr_matrix((np.ones(len(g), dtype=np.int8), (g, p + n_gt)),
+                       shape=(n_gt + n_pred, n_gt + n_pred))
+    _, labels = connected_components(graph, directed=False)
+    comp = labels[g]
+    lone = np.bincount(comp)[comp] == 1
+    pairs = list(zip(g[lone].tolist(), p[lone].tolist()))
+    shared = np.flatnonzero(~lone)
+    shared = shared[np.argsort(comp[shared], kind="stable")]
+    for idx in np.split(shared, np.flatnonzero(np.diff(comp[shared])) + 1):
+        if not idx.size:
+            continue
+        rows, row_of = np.unique(g[idx], return_inverse=True)
+        cols, col_of = np.unique(p[idx], return_inverse=True)
+        # An unmatched-pair cost above any feasible total distance of this
+        # component makes the assignment maximize cardinality before
+        # minimizing distance.
+        big = (min(len(rows), len(cols)) + 1.0) * max(d, 1.0)
+        cost = np.full((len(rows), len(cols)), big)
+        cost[row_of, col_of] = dist[idx]
+        r, c = linear_sum_assignment(cost)
+        kept = cost[r, c] < d
+        pairs += zip(rows[r[kept]].tolist(), cols[c[kept]].tolist())
+    return sorted(pairs)
 
 
 def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> MatchResult:
@@ -318,6 +377,12 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
     ``cfg.max_distance(H, W)``. Among all one-to-one assignments the result
     maximizes the number of matched pairs first and the total matched
     distance (minimized) second; both maps are expected to be thinned.
+
+    Candidates come from a KD-tree radius search over the two node lists.
+    They form a bipartite graph, and each of its connected components is
+    solved on its own (see :func:`_assign`), so nodes with no candidate
+    never enter a matrix. Memory is O(candidate pairs + the square of the
+    largest component), never ``n_gt x n_pred``.
     """
     if pred.bits.shape != gt.bits.shape:
         raise ValueError(
@@ -329,19 +394,9 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
     if n_gt == 0 or n_pred == 0:
         return MatchResult((), pred_total=n_pred, gt_total=n_gt)
     d = cfg.max_distance(*pred.bits.shape)
-    dists = cdist(gt_xy, pred_xy)
-    candidate = dists < d
-    if not candidate.any():
-        return MatchResult((), pred_total=n_pred, gt_total=n_gt)
-    # An unmatched-pair cost exceeding any feasible total distance makes the
-    # assignment maximize cardinality before minimizing distance.
-    big = (min(n_gt, n_pred) + 1.0) * max(d, 1.0)
-    cost = np.where(candidate, dists, big)
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple(
-        (int(g), int(p)) for g, p in zip(rows, cols) if candidate[g, p]
-    )
-    return MatchResult(pairs, pred_total=n_pred, gt_total=n_gt)
+    g, p, dist = _candidates(gt_xy, pred_xy, d)
+    pairs = _assign(g, p, dist, n_gt, n_pred, d)
+    return MatchResult(tuple(pairs), pred_total=n_pred, gt_total=n_gt)
 
 
 def image_pr(per_instance: Sequence[MatchResult]) -> tuple[float, float]:

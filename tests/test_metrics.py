@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -169,6 +170,27 @@ class TestThin:
             assert_thin_matches_reference(rng.random(shape) < density)
 
 
+# 5x5 windows whose gaps exceed every d drawn below, so each window's nodes
+# form their own components.
+CLUSTER_ORIGINS = ((2, 2), (2, 16), (2, 30), (16, 2), (16, 16), (16, 30))
+
+
+@st.composite
+def clustered_nodes(draw) -> tuple[list, list, EvalConfig]:
+    """Up to 8 GT and 8 predicted nodes in one to four windows of a 30x40 map.
+
+    ``d`` is exactly 1, 2 or 2.5, so pairs at distance exactly ``d`` occur.
+    """
+    origins = draw(st.lists(st.sampled_from(CLUSTER_ORIGINS), min_size=1, max_size=4, unique=True))
+    cell = st.tuples(st.sampled_from(origins), st.integers(0, 4), st.integers(0, 4)).map(
+        lambda t: (t[0][0] + t[1], t[0][1] + t[2])
+    )
+    gt = draw(st.lists(cell, max_size=8, unique=True))
+    pred = draw(st.lists(cell, max_size=8, unique=True))
+    fraction = draw(st.sampled_from((0.02, 0.04, 0.05)))
+    return gt, pred, EvalConfig(max_dist_fraction=fraction)
+
+
 def assert_optimal_match(pred: BitMap, gt: BitMap, cfg: EvalConfig, oracle) -> tuple[int, int]:
     """Check ``match_instance`` against an oracle's (count, total distance).
 
@@ -306,6 +328,32 @@ class TestMatchInstance:
         pred = bitmap_from_pixels(30, 40, [(5, 6), (2, 24), (25, 2), (24, 32)])
         assert_optimal_match(pred, gt, cfg, dense_match)
         assert match_instance(pred, gt, cfg).matched_pairs == ((1, 0), (3, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(clustered_nodes())
+    def test_matches_brute_force_on_clustered_nodes(self, case):
+        gt_nodes, pred_nodes, cfg = case
+        gt = bitmap_from_pixels(30, 40, gt_nodes)
+        pred = bitmap_from_pixels(30, 40, pred_nodes)
+        assert_optimal_match(pred, gt, cfg, brute_force_match)
+
+    def test_large_prediction_stays_within_memory_cap(self):
+        # A dense 600 x 100000 distance matrix alone would take 458 MiB.
+        h, w = 321, 481
+        yy, xx = np.mgrid[0:h, 0:w]
+        gt = thin(BitMap(np.abs(np.hypot(yy - 160, xx - 240) - 106) < 1.0))
+        flat = np.zeros(h * w, dtype=bool)
+        flat[np.random.default_rng(5).choice(h * w, size=100_000, replace=False)] = True
+        pred = BitMap(flat.reshape(h, w))
+        tracemalloc.start()
+        try:
+            result = match_instance(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.gt_total, result.pred_total) == (600, 100_000)
+        assert result.matched == 600  # every GT node has ~38 candidates
+        assert peak < 64 * 2**20
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
