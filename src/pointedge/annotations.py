@@ -150,6 +150,8 @@ def _as_int(value: object, where: str, key: str) -> int:
     out = int(value)
     if out != value:
         raise ParseError(f"{where}: field '{key}' must be an integer")
+    if not -(2**63) <= out < 2**63:  # ids name output files; sizes index arrays
+        raise ParseError(f"{where}: field '{key}' must fit in 64 bits")
     return out
 
 

@@ -112,7 +112,13 @@ def cmd_make_targets(args: argparse.Namespace) -> int:
     for image in dataset.images:
         for inst in image.instances:
             kept = subsample_keypoints(inst, args.ratio, args.seed)
-            target = build_tunnel_target(kept, image.height, image.width)
+            try:
+                target = build_tunnel_target(kept, image.height, image.width)
+            except (ValueError, MemoryError) as exc:  # an image too large to allocate
+                raise ValueError(
+                    f"{args.annotations}: image {image.image_id} "
+                    f"({image.height}x{image.width}): {exc}"
+                ) from exc
             name = f"{image.image_id}_{inst.instance_id}.pgm"
             write_graymap(target.map, out / name)
             entries.append(

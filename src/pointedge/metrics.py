@@ -295,8 +295,18 @@ def thin(edges: BitMap) -> BitMap:
     recomputes the simple and block masks only around each deletion. The
     deletions, and so the output, are exactly those of recomputing every
     code over the whole frame at every step.
+
+    Only the bounding box of the set pixels is thinned: outside it every
+    pixel is unset, which the zero padding around the box reproduces, and
+    row-major order within the box is row-major order in the frame.
     """
-    a = np.pad(edges.bits, 1)  # every neighbour of a set pixel is in the grid
+    out = np.zeros_like(edges.bits)
+    rows = np.flatnonzero(edges.bits.any(axis=1))
+    if not rows.size:
+        return BitMap(out)
+    cols = np.flatnonzero(edges.bits.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    a = np.pad(edges.bits[box], 1)  # every neighbour of a set pixel is in the grid
     codes = _codes(a)
     offsets = _neighbour_offsets(a.shape[1])
     marks = (a.ravel().copy(), a.ravel().copy())
@@ -304,7 +314,8 @@ def thin(edges: BitMap) -> BitMap:
         _passes(a.ravel(), codes.ravel(), marks, offsets)
         # The passes just reached a fixed point, so an unbroken map is final.
         if not _break_blocks(a, codes, marks, offsets):
-            return BitMap(a[1:-1, 1:-1])
+            out[box] = a[1:-1, 1:-1]
+            return BitMap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +571,10 @@ def evaluate(
                     f"image {image_id}: prediction for {label} is "
                     f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"
                 )
-        return _image_curves(image, maps, cfg)
+        try:
+            return _image_curves(image, maps, cfg)
+        except (ValueError, MemoryError) as exc:  # an image too large to allocate
+            raise ValueError(f"image {image_id} ({image.height}x{image.width}): {exc}") from exc
 
     ordered = sorted(by_id)
     if workers > 1:

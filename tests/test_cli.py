@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import copy
+import io
 import json
 import re
 import subprocess
@@ -7,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointedge import GrayMap, parse_dataset, rasterize_polyline, write_graymap
 from pointedge.cli import main
@@ -187,8 +192,21 @@ class TestMakeTargets:
         code = main(["make-targets", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "allocate" in err
+        assert err.startswith(f"error: {path}: image 1 (1000000000x1000000000): ")
+        assert "allocate" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("record, key", [(0, "id"), (0, "height"), (1, "width")])
+    def test_integer_beyond_64_bits_exits_1(self, tmp_path, capsys, record, key):
+        doc = json.loads(json.dumps(ANN_DOC))
+        doc["images"][record][key] = -(10**40)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code = main(["make-targets", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: image ")
+        assert f"field '{key}' must fit in 64 bits" in err
 
 
 class TestEval:
@@ -287,6 +305,17 @@ class TestEval:
         code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "instance_id 99" in capsys.readouterr().err
+
+    def test_unallocatable_image_without_predictions_exits_1(self, ann_path, tmp_path, capsys):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        doc = json.loads(json.dumps(ANN_DOC))
+        doc["images"].append({"id": 3, "height": 10**9, "width": 10**9})
+        ann_path.write_text(json.dumps(doc))
+        code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: image 3 (1000000000x1000000000): ")
+        assert "Traceback" not in err
 
     def test_category_mismatch_exits_1(self, ann_path, tmp_path, capsys):
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
@@ -419,6 +448,86 @@ class TestUndecodableJson:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert "Traceback" not in err
+
+
+# Values that break a field's type or range; none describes an image large
+# enough to allocate, so an example costs milliseconds.
+FUZZ_VALUES = (
+    None, True, -1, 0, 1, 2.5, "x", [], {}, [[0, 0]], 10**40, -1e308,
+    float("nan"), float("inf"),
+)
+
+
+def _slots(node):
+    """(container, key or index) of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def edited_documents(draw) -> str:
+    """ANN_DOC after one to three edits: replace, delete or duplicate a value,
+    then maybe cut the text short."""
+    doc = json.loads(json.dumps(ANN_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        edit = draw(st.sampled_from(("replace", "delete", "duplicate")))
+        if edit == "replace":
+            container[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        elif edit == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            container.append(copy.deepcopy(container[key]))
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+# A message names its record with one of these, or names the file.
+RECORD = re.compile(r"\b(image|annotation|instance|category|document|entry)\b")
+
+
+class TestAnnotationFuzz:
+    """Edited annotation documents exit 0, 1 or 2, never with a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        ann = root / "valid.json"
+        ann.write_text(json.dumps(ANN_DOC))
+        write_exact_predictions(root / "preds", ann)
+        return root
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=edited_documents())
+    def test_make_targets_and_eval(self, workdir, text):
+        path = workdir / "edited.json"
+        path.write_text(text)
+        try:
+            parse_dataset(text)
+            valid = True
+        except ValueError:
+            valid = False
+        for args in (
+            ["make-targets", str(path)],
+            ["eval", str(path), str(workdir / "preds")],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*args, "--out", str(workdir / "out")])
+            message = err.getvalue()
+            assert "Traceback" not in message
+            if not valid:
+                assert code == 1, message
+                assert message.startswith(f"error: {path}: "), message
+            elif code:
+                assert code in (1, 2), message
+                assert message.startswith("error: "), message
+                assert str(path) in message or RECORD.search(message), message
 
 
 class TestLossCheck:
