@@ -346,39 +346,76 @@ def _candidates(
     return g[keep], p[keep], dist[keep]
 
 
+def _components(g: np.ndarray, p: np.ndarray, n_gt: int, n_pred: int) -> tuple[int, np.ndarray]:
+    """Connected components of the candidate graph: their count, and the label
+    of every node, gt nodes first and then pred nodes."""
+    n = n_gt + n_pred
+    # Both directions of every pair, so the strong components are the
+    # connected components and scipy needs no transposed copy.
+    src = np.concatenate([g, p + n_gt])
+    order = np.argsort(src, kind="stable")
+    dst = np.concatenate([p + n_gt, g])[order].astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(len(dst)), dst, indptr), shape=(n, n))
+    return connected_components(graph, directed=True, connection="strong")
+
+
+def _members(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes grouped by component label, in index order within each group.
+
+    Returns the grouped nodes, the start of each label's group (``count + 1``
+    entries, the last one the end), and each node's place in its group.
+    """
+    nodes = np.argsort(labels, kind="stable")
+    start = np.searchsorted(labels[nodes], np.arange(count + 1))
+    rank = np.empty_like(nodes)
+    rank[nodes] = np.arange(len(nodes)) - start[labels[nodes]]
+    return nodes, start, rank
+
+
 def _assign(
     g: np.ndarray, p: np.ndarray, dist: np.ndarray, n_gt: int, n_pred: int, d: float
 ) -> list[tuple[int, int]]:
-    """Optimal one-to-one pairs among the candidate pairs ``(g, p)``.
+    """Optimal one-to-one pairs among the candidate pairs ``(g, p)``, by gt index.
 
     The candidate graph splits into connected components that share no node,
     so the optimum is the union of each component's optimum. A component
     with one candidate pair is that pair; any other gets a dense cost matrix
     over its own nodes and one ``linear_sum_assignment``.
     """
-    graph = csr_matrix((np.ones(len(g), dtype=np.int8), (g, p + n_gt)),
-                       shape=(n_gt + n_pred, n_gt + n_pred))
-    _, labels = connected_components(graph, directed=False)
+    # The grouping below is done once for all components, so that the loop
+    # allocates little more than each component's matrix.
+    count, labels = _components(g, p, n_gt, n_pred)
     comp = labels[g]
     lone = np.bincount(comp)[comp] == 1
-    pairs = list(zip(g[lone].tolist(), p[lone].tolist()))
+    matched_g, matched_p = [g[lone]], [p[lone]]
     shared = np.flatnonzero(~lone)
     shared = shared[np.argsort(comp[shared], kind="stable")]
-    for idx in np.split(shared, np.flatnonzero(np.diff(comp[shared])) + 1):
-        if not idx.size:
-            continue
-        rows, row_of = np.unique(g[idx], return_inverse=True)
-        cols, col_of = np.unique(p[idx], return_inverse=True)
+    g, p, dist, comp = g[shared], p[shared], dist[shared], comp[shared]
+    gt_nodes, gt_start, gt_rank = _members(labels[:n_gt], count)
+    pred_nodes, pred_start, pred_rank = _members(labels[n_gt:], count)
+    row_of, col_of = gt_rank[g], pred_rank[p]
+    bounds = np.append(np.flatnonzero(np.diff(comp, prepend=-1)), len(comp))
+    comps = comp[bounds[:-1]]
+    spans = np.stack([
+        gt_start[comps], gt_start[comps + 1], pred_start[comps], pred_start[comps + 1],
+        bounds[:-1], bounds[1:],
+    ], axis=1)
+    for g0, g1, p0, p1, lo, hi in spans.tolist():
         # An unmatched-pair cost above any feasible total distance of this
         # component makes the assignment maximize cardinality before
         # minimizing distance.
-        big = (min(len(rows), len(cols)) + 1.0) * max(d, 1.0)
-        cost = np.full((len(rows), len(cols)), big)
-        cost[row_of, col_of] = dist[idx]
+        big = (min(g1 - g0, p1 - p0) + 1.0) * max(d, 1.0)
+        cost = np.full((g1 - g0, p1 - p0), big)
+        cost[row_of[lo:hi], col_of[lo:hi]] = dist[lo:hi]
         r, c = linear_sum_assignment(cost)
         kept = cost[r, c] < d
-        pairs += zip(rows[r[kept]].tolist(), cols[c[kept]].tolist())
-    return sorted(pairs)
+        matched_g.append(gt_nodes[g0:g1][r[kept]])
+        matched_p.append(pred_nodes[p0:p1][c[kept]])
+    mg, mp = np.concatenate(matched_g), np.concatenate(matched_p)
+    order = np.argsort(mg)
+    return list(zip(mg[order].tolist(), mp[order].tolist()))
 
 
 def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> MatchResult:
