@@ -220,7 +220,9 @@ def brute_force_match(gt_nodes, pred_nodes, max_dist: float) -> tuple[int, float
     """Exhaustively best assignment: max cardinality, then min total distance.
 
     Nodes are (row, col) pairs; candidate pairs require euclidean distance
-    strictly below ``max_dist``. Feasible only for small node sets.
+    strictly below ``max_dist``. Feasible only for small node sets. The
+    search state keeps only the used pred nodes that a later gt node can
+    still reach, since no other used node changes what is left to solve.
     """
     gt_nodes = [tuple(map(float, g)) for g in gt_nodes]
     pred_nodes = [tuple(map(float, p)) for p in pred_nodes]
@@ -228,17 +230,21 @@ def brute_force_match(gt_nodes, pred_nodes, max_dist: float) -> tuple[int, float
         [math.dist(g, p) for p in pred_nodes]
         for g in gt_nodes
     ]
+    reach = [0] * (len(gt_nodes) + 1)
+    for i in reversed(range(len(gt_nodes))):
+        near = sum(1 << j for j, dj in enumerate(dist[i]) if dj < max_dist)
+        reach[i] = reach[i + 1] | near
 
     @lru_cache(maxsize=None)
     def solve(i: int, used: int) -> tuple[int, float]:
         if i == len(gt_nodes):
             return (0, 0.0)
-        count, cost = solve(i + 1, used)
+        count, cost = solve(i + 1, used & reach[i + 1])
         best = (count, -cost)
         for j in range(len(pred_nodes)):
             if used >> j & 1 or dist[i][j] >= max_dist:
                 continue
-            sub_count, sub_cost = solve(i + 1, used | 1 << j)
+            sub_count, sub_cost = solve(i + 1, (used | 1 << j) & reach[i + 1])
             cand = (sub_count + 1, -(sub_cost + dist[i][j]))
             if cand > best:
                 best = cand

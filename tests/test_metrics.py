@@ -733,6 +733,37 @@ class TestEvaluate:
                 (t, p, r, f), abs=1e-9
             )
 
+    @pytest.mark.parametrize("source", ["two_image_fixture", 0, 1, 2, 3])
+    def test_unsorted_repeated_thresholds_match_oracle(self, source):
+        # Few levels make many thresholds give the same binarized map; the
+        # sweep is unsorted and repeats a value, so results must land on
+        # their own thresholds whatever order they are computed in.
+        if source == "two_image_fixture":
+            dataset, predictions = two_image_fixture()
+        else:
+            dataset, predictions = random_dataset(np.random.default_rng(source), n_images=4)
+            levels = np.array([0.0, 0.02, 0.5, 0.7, 1.0])
+            predictions = {
+                image_id: {
+                    instance_id: GrayMap(
+                        levels[np.searchsorted(levels, graymap.values, side="right") - 1]
+                    )
+                    for instance_id, graymap in maps.items()
+                }
+                for image_id, maps in predictions.items()
+            }
+        cfg = EvalConfig(thresholds=(0.5, 0.0, 0.7, 0.5, 0.05, 0.95, 0.69))
+        summary = evaluate(predictions, dataset, cfg)
+        ods, ois, curve = eval_oracle(
+            predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
+        )
+        assert summary.ods == pytest.approx(ods, abs=1e-9)
+        assert summary.ois == pytest.approx(ois, abs=1e-9)
+        assert len(summary.curve) == len(curve)
+        for pt, (t, p, r, f) in zip(summary.curve, curve):
+            assert pt.threshold == t
+            assert (pt.precision, pt.recall, pt.fscore) == pytest.approx((p, r, f), abs=1e-9)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             evaluate({}, Dataset(images=(), categories={}))
