@@ -514,8 +514,13 @@ def pair_instances(
 # ---------------------------------------------------------------------------
 
 def binarize(graymap: GrayMap, threshold: float) -> BitMap:
-    """Pixels with probability >= threshold; zero-probability pixels never fire."""
-    return BitMap((graymap.values >= threshold) & (graymap.values > 0.0))
+    """Pixels with probability >= threshold; zero-probability pixels never fire.
+
+    This takes one comparison: above 0, ``values >= threshold`` already
+    implies ``values > 0``, and at or below 0 only ``values > 0`` decides.
+    """
+    values = graymap.values
+    return BitMap(values > 0.0 if threshold <= 0.0 else values >= threshold)
 
 
 def _image_curves(
@@ -523,8 +528,14 @@ def _image_curves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-threshold precision, recall, and F arrays for one image.
 
-    ``maps`` holds one map per instance, then the unpaired maps. Match results
-    are kept per (slot, binarized map), thinned maps only within a threshold.
+    ``maps`` holds one map per instance, then the unpaired maps. A slot's
+    binarized maps shrink as the threshold rises, so two thresholds give it
+    the same binarized map exactly when as many of its pixels fire at both.
+    Those firing counts are taken first; the sweep then runs in ascending
+    order (stable, so repeated thresholds are adjacent), and a slot is
+    binarized, thinned and matched only where its count changes, its last
+    match result standing elsewhere. Slots whose binarized maps coincide at
+    one threshold share one thinning. The arrays follow ``cfg.thresholds``.
     """
     empty_gt = BitMap(np.zeros((image.height, image.width), dtype=bool))
     gt_thin = [
@@ -532,25 +543,29 @@ def _image_curves(
         for inst in image.instances
     ]
     gt_thin += [empty_gt] * (len(maps) - len(gt_thin))
-    matches: dict[tuple[int, bytes], MatchResult] = {}
-    precisions, recalls, fs = [], [], []
-    for t in cfg.thresholds:
+    order = np.argsort(cfg.thresholds, kind="stable").tolist()
+    ascending = [cfg.thresholds[i] for i in order]
+    fired = np.empty((len(maps), len(order)), dtype=np.intp)
+    for slot, pm in enumerate(maps):
+        positive = pm.values[pm.values > 0.0]
+        fired[slot] = [np.count_nonzero(positive >= t) for t in ascending]
+        del positive
+    changed = np.diff(fired, axis=1, prepend=-1) != 0
+    last: list[MatchResult | None] = [None] * len(maps)
+    pr = np.empty((len(order), 2))
+    for k, (i, t) in enumerate(zip(order, ascending)):
         thinned: dict[bytes, BitMap] = {}
-        results = []
         for slot, (pm, gt_map) in enumerate(zip(maps, gt_thin)):
-            bits = binarize(pm, t)
-            # Every map of one image has its shape, so the packed bits are exact.
-            key = np.packbits(bits.bits).tobytes()
-            if (slot, key) not in matches:
+            if changed[slot, k]:
+                bits = binarize(pm, t)
+                # Every map of one image has its shape, so the packed bits are exact.
+                key = np.packbits(bits.bits).tobytes()
                 if key not in thinned:
                     thinned[key] = thin(bits)
-                matches[slot, key] = match_instance(thinned[key], gt_map, cfg)
-            results.append(matches[slot, key])
-        p, r = image_pr(results)
-        precisions.append(p)
-        recalls.append(r)
-        fs.append(fscore(p, r))
-    return np.array(precisions), np.array(recalls), np.array(fs)
+                last[slot] = match_instance(thinned[key], gt_map, cfg)
+        pr[i] = image_pr(last)
+    precisions, recalls = pr[:, 0], pr[:, 1]
+    return precisions, recalls, np.array([fscore(p, r) for p, r in pr.tolist()])
 
 
 def evaluate(

@@ -72,8 +72,14 @@ def _read_raw(path: str | Path) -> tuple[np.ndarray, int]:
 
 
 def read_graymap(path: str | Path) -> GrayMap:
+    """Read a PGM as values ``sample / maxval``, a read-only float64 array.
+
+    The values are computed once, into an array the map then keeps.
+    """
     samples, maxval = _read_raw(path)
-    return GrayMap(samples.astype(np.float64) / maxval)
+    values = np.divide(samples, maxval, dtype=np.float64)
+    values.flags.writeable = False
+    return GrayMap(values)
 
 
 def read_bitmap(path: str | Path) -> BitMap:

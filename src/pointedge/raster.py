@@ -70,12 +70,26 @@ class BitMap:
 
 @dataclass(frozen=True, eq=False)
 class GrayMap:
-    """A 2-D grid of values in [0, 1]. ``values`` is a read-only float array."""
+    """A 2-D grid of values in [0, 1]. ``values`` is a read-only float array.
+
+    A float64 ndarray that is already read-only and owns its memory is kept
+    as it is, so a reader that built it hands it over without a copy; any
+    other input (a writable array, a view, another dtype or a list) is
+    copied, so no caller's later writes reach the map. Every input is
+    checked to be 2-D, finite and within [0, 1].
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64).copy()
+        arr = self.values
+        if not (
+            type(arr) is np.ndarray
+            and arr.dtype == np.float64
+            and not arr.flags.writeable
+            and arr.base is None
+        ):
+            arr = np.array(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"GrayMap needs a 2-D grid, got shape {arr.shape}")
         if not np.isfinite(arr).all():

@@ -507,6 +507,20 @@ class TestBinarize:
             assert (current <= previous).all()
             previous = current
 
+    @pytest.mark.parametrize("threshold", [-0.5, 0.0, 5e-324, 0.05, 0.7, 0.999])
+    def test_equals_threshold_and_positive(self, threshold):
+        rng = np.random.default_rng(15)
+        levels = np.array([0.0, 5e-324, 0.05, 0.7, 0.999, 1.0])
+        grids = [
+            np.where(rng.random((9, 11)) < 0.3, 0.0, rng.random((9, 11))),
+            rng.choice(levels, size=(9, 11)),
+            np.zeros((4, 5)),
+            np.ones((4, 5)),
+        ]
+        for values in grids:
+            out = binarize(GrayMap(values), threshold).bits
+            assert np.array_equal(out, (values >= threshold) & (values > 0.0))
+
 
 class TestEvalConfig:
     def test_defaults(self):
@@ -705,8 +719,13 @@ class TestEvaluate:
         }
         assert len(distinct) == 2 + 3 + 3
 
-        calls = {"thin": [], "match_instance": 0}
+        calls = {"binarize": 0, "thin": [], "match_instance": 0}
+        real_binarize = pointedge.metrics.binarize
         real_thin, real_match = pointedge.metrics.thin, pointedge.metrics.match_instance
+
+        def counting_binarize(*args):
+            calls["binarize"] += 1
+            return real_binarize(*args)
 
         def counting_thin(edges):
             calls["thin"].append(edges.bits.copy())
@@ -716,11 +735,13 @@ class TestEvaluate:
             calls["match_instance"] += 1
             return real_match(*args)
 
+        monkeypatch.setattr(pointedge.metrics, "binarize", counting_binarize)
         monkeypatch.setattr(pointedge.metrics, "thin", counting_thin)
         monkeypatch.setattr(pointedge.metrics, "match_instance", counting_match)
         summary = evaluate(predictions, dataset, cfg)
         monkeypatch.undo()
 
+        assert calls["binarize"] == len(distinct)
         assert calls["match_instance"] == len(distinct)
         assert sum(bits.all() for bits in calls["thin"]) == 1
         ods, ois, curve = eval_oracle(

@@ -40,6 +40,22 @@ class TestGraymapFormat:
         write_graymap(gm, path)
         assert (read_graymap(path).values == gm.values).all()
 
+    @pytest.mark.parametrize("maxval", [1, 255, 65535])
+    def test_read_values_are_read_only_and_exact(self, tmp_path, maxval):
+        samples = np.random.default_rng(maxval).integers(0, maxval + 1, size=(5, 7))
+        dtype = ">u2" if maxval > 255 else np.uint8
+        path = tmp_path / "g.pgm"
+        path.write_bytes(
+            f"P5\n7 5\n{maxval}\n".encode("ascii") + samples.astype(dtype).tobytes()
+        )
+        gm = read_graymap(path)
+        expected = samples.astype(dtype).astype(np.float64) / maxval
+        assert gm.values.dtype == np.float64
+        assert gm.values.tobytes() == expected.tobytes()
+        assert not gm.values.flags.writeable
+        with pytest.raises(ValueError):
+            gm.values[0, 0] = 0.0
+
     def test_write_is_deterministic(self, tmp_path):
         gm = GrayMap(np.linspace(0, 1, 12).reshape(3, 4))
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

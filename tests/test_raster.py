@@ -48,6 +48,44 @@ class TestBitMapGrayMap:
         with pytest.raises(ValueError):
             GrayMap([[np.nan]])
 
+    def test_graymap_copies_a_writable_array(self):
+        values = np.full((3, 4), 0.5)
+        gm = GrayMap(values)
+        values[0, 0] = 1.0
+        assert gm.values[0, 0] == 0.5
+        assert not np.shares_memory(gm.values, values)
+        with pytest.raises(ValueError):
+            gm.values[0, 0] = 0.0
+
+    def test_graymap_keeps_a_read_only_array_it_owns(self):
+        values = np.full((3, 4), 0.5)
+        values.flags.writeable = False
+        assert np.shares_memory(GrayMap(values).values, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_graymap_checks_a_kept_array(self, bad):
+        values = np.full((3, 4), 0.5)
+        values[1, 2] = bad
+        values.flags.writeable = False
+        with pytest.raises(ValueError):
+            GrayMap(values)
+
+    def test_graymap_copies_a_read_only_view(self):
+        backing = np.full((3, 8), 0.5)
+        view = backing[:, ::2]
+        view.flags.writeable = False
+        gm = GrayMap(view)
+        backing[0, 0] = 1.0
+        assert gm.values[0, 0] == 0.5
+        assert not np.shares_memory(gm.values, backing)
+
+    def test_graymap_copies_other_dtypes(self):
+        values = np.full((2, 2), 0.5, dtype=np.float32)
+        values.flags.writeable = False
+        gm = GrayMap(values)
+        assert gm.values.dtype == np.float64
+        assert not np.shares_memory(gm.values, values)
+
     def test_bitmap_to_graymap(self):
         gm = BitMap([[0, 1]]).to_graymap()
         assert gm.values.tolist() == [[0.0, 1.0]]
