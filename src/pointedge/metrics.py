@@ -564,8 +564,7 @@ def _image_curves(
                     thinned[key] = thin(bits)
                 last[slot] = match_instance(thinned[key], gt_map, cfg)
         pr[i] = image_pr(last)
-    precisions, recalls = pr[:, 0], pr[:, 1]
-    return precisions, recalls, np.array([fscore(p, r) for p, r in pr.tolist()])
+    return pr[:, 0], pr[:, 1], np.array([fscore(p, r) for p, r in pr.tolist()])
 
 
 def evaluate(

@@ -89,7 +89,7 @@ class GrayMap:
             and not arr.flags.writeable
             and arr.base is None
         ):
-            arr = np.array(arr, dtype=np.float64)
+            arr = np.array(arr, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise ValueError(f"GrayMap needs a 2-D grid, got shape {arr.shape}")
         if not np.isfinite(arr).all():
