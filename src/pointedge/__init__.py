@@ -38,6 +38,7 @@ from .losses import (
     penalty_reduced_focal,
 )
 from .metrics import (
+    EdgeIndex,
     EvalConfig,
     EvalSummary,
     MatchResult,
@@ -49,6 +50,7 @@ from .metrics import (
     evaluate,
     fscore,
     image_pr,
+    index_edges,
     match_instance,
     pair_instances,
     thin,
@@ -111,6 +113,7 @@ __all__ = [
     "dense_head",
     "scaled_dot_attention",
     # metrics
+    "EdgeIndex",
     "EvalConfig",
     "EvalSummary",
     "MatchResult",
@@ -122,6 +125,7 @@ __all__ = [
     "evaluate",
     "fscore",
     "image_pr",
+    "index_edges",
     "match_instance",
     "pair_instances",
     "thin",

@@ -28,9 +28,11 @@ __all__ = [
     "MatchResult",
     "PRPoint",
     "EvalSummary",
+    "EdgeIndex",
     "PredictedInstance",
     "thin",
     "edge_nodes",
+    "index_edges",
     "match_instance",
     "image_pr",
     "fscore",
@@ -275,6 +277,12 @@ def _break_blocks(a: np.ndarray, codes: np.ndarray, marks: _Marks, offsets: np.n
     return broke
 
 
+def _owned(bits: np.ndarray) -> BitMap:
+    """Hand a freshly built bool array to a :class:`BitMap` without a copy."""
+    bits.flags.writeable = False
+    return BitMap(bits)
+
+
 def thin(edges: BitMap) -> BitMap:
     """Morphologically thin a binary edge map to (near) single-pixel width.
 
@@ -303,7 +311,7 @@ def thin(edges: BitMap) -> BitMap:
     out = np.zeros_like(edges.bits)
     rows = np.flatnonzero(edges.bits.any(axis=1))
     if not rows.size:
-        return BitMap(out)
+        return _owned(out)
     cols = np.flatnonzero(edges.bits.any(axis=0))
     box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
     a = np.pad(edges.bits[box], 1)  # every neighbour of a set pixel is in the grid
@@ -315,7 +323,7 @@ def thin(edges: BitMap) -> BitMap:
         # The passes just reached a fixed point, so an unbroken map is final.
         if not _break_blocks(a, codes, marks, offsets):
             out[box] = a[1:-1, 1:-1]
-            return BitMap(out)
+            return _owned(out)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +335,29 @@ def edge_nodes(edges: BitMap) -> np.ndarray:
     return np.stack(np.divmod(np.flatnonzero(edges.bits), edges.width), axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeIndex:
+    """A map's edge nodes, prepared once to be matched against many maps.
+
+    ``shape`` is the map's (H, W), ``nodes`` its read-only :func:`edge_nodes`
+    array, and ``tree`` a ``cKDTree`` over those nodes, or None when the map
+    has no set pixel. Build one with :func:`index_edges`.
+    """
+
+    shape: tuple[int, int]
+    nodes: np.ndarray
+    tree: cKDTree | None
+
+
+def index_edges(edges: BitMap) -> EdgeIndex:
+    """The :class:`EdgeIndex` of a (thinned) map."""
+    nodes = edge_nodes(edges)
+    nodes.flags.writeable = False
+    return EdgeIndex(edges.bits.shape, nodes, cKDTree(nodes) if len(nodes) else None)
+
+
 def _candidates(
-    gt_xy: np.ndarray, pred_xy: np.ndarray, d: float
+    gt: EdgeIndex, pred_xy: np.ndarray, d: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gt index, pred index, distance) of every pair strictly closer than ``d``.
 
@@ -336,11 +365,9 @@ def _candidates(
     recomputed from its integer offsets, exactly as ``cdist`` computes it,
     and pairs at ``d`` are dropped.
     """
-    found = cKDTree(gt_xy).sparse_distance_matrix(
-        cKDTree(pred_xy), d, output_type="ndarray"
-    )
+    found = gt.tree.sparse_distance_matrix(cKDTree(pred_xy), d, output_type="ndarray")
     g, p = found["i"], found["j"]
-    offset = gt_xy[g] - pred_xy[p]
+    offset = gt.nodes[g] - pred_xy[p]
     dist = np.sqrt((offset * offset).sum(axis=1).astype(np.float64))
     keep = dist < d
     return g[keep], p[keep], dist[keep]
@@ -418,7 +445,9 @@ def _assign(
     return list(zip(mg[order].tolist(), mp[order].tolist()))
 
 
-def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> MatchResult:
+def match_instance(
+    pred: BitMap, gt: BitMap | EdgeIndex, cfg: EvalConfig = EvalConfig()
+) -> MatchResult:
     """Optimally match predicted to ground-truth edge pixels.
 
     Candidate pairs are those with euclidean distance strictly below
@@ -426,23 +455,27 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
     maximizes the number of matched pairs first and the total matched
     distance (minimized) second; both maps are expected to be thinned.
 
-    Candidates come from a KD-tree radius search over the two node lists.
-    They form a bipartite graph, and each of its connected components is
-    solved on its own (see :func:`_assign`), so nodes with no candidate
-    never enter a matrix. Memory is O(candidate pairs + the square of the
-    largest component), never ``n_gt x n_pred``.
+    ``gt`` is a map, indexed on the spot, or an :class:`EdgeIndex` built
+    once by :func:`index_edges` for a ground truth matched many times; the
+    result is the same either way. Candidates come from a KD-tree radius
+    search over the two node lists. They form a bipartite graph, and each
+    of its connected components is solved on its own (see :func:`_assign`),
+    so nodes with no candidate never enter a matrix. Memory is
+    O(candidate pairs + the square of the largest component), never
+    ``n_gt x n_pred``.
     """
-    if pred.bits.shape != gt.bits.shape:
+    if isinstance(gt, BitMap):
+        gt = index_edges(gt)
+    if pred.bits.shape != gt.shape:
         raise ValueError(
-            f"prediction shape {pred.bits.shape} != ground truth shape {gt.bits.shape}"
+            f"prediction shape {pred.bits.shape} != ground truth shape {gt.shape}"
         )
-    gt_xy = edge_nodes(gt)
     pred_xy = edge_nodes(pred)
-    n_gt, n_pred = len(gt_xy), len(pred_xy)
+    n_gt, n_pred = len(gt.nodes), len(pred_xy)
     if n_gt == 0 or n_pred == 0:
         return MatchResult((), pred_total=n_pred, gt_total=n_gt)
     d = cfg.max_distance(*pred.bits.shape)
-    g, p, dist = _candidates(gt_xy, pred_xy, d)
+    g, p, dist = _candidates(gt, pred_xy, d)
     pairs = _assign(g, p, dist, n_gt, n_pred, d)
     return MatchResult(tuple(pairs), pred_total=n_pred, gt_total=n_gt)
 
@@ -520,11 +553,14 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
     implies ``values > 0``, and at or below 0 only ``values > 0`` decides.
     """
     values = graymap.values
-    return BitMap(values > 0.0 if threshold <= 0.0 else values >= threshold)
+    return _owned(values > 0.0 if threshold <= 0.0 else values >= threshold)
 
 
 def _image_curves(
-    image: ImageRecord, maps: Sequence[GrayMap], cfg: EvalConfig
+    image: ImageRecord,
+    maps: Sequence[GrayMap],
+    cfg: EvalConfig,
+    full_frames: dict[tuple[int, int], BitMap],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-threshold precision, recall, and F arrays for one image.
 
@@ -535,14 +571,16 @@ def _image_curves(
     order (stable, so repeated thresholds are adjacent), and a slot is
     binarized, thinned and matched only where its count changes, its last
     match result standing elsewhere. Slots whose binarized maps coincide at
-    one threshold share one thinning. The arrays follow ``cfg.thresholds``.
+    one threshold share one thinning. A map on which every pixel fires is
+    the whole frame, whose thinning depends only on its shape: it is taken
+    from ``full_frames``, keyed by (H, W), which the first such map of that
+    shape fills. Each ground-truth slot is thinned and indexed once (see
+    :func:`index_edges`), as is the empty ground truth of the unpaired
+    maps. The arrays follow ``cfg.thresholds``.
     """
-    empty_gt = BitMap(np.zeros((image.height, image.width), dtype=bool))
-    gt_thin = [
-        thin(rasterize_polyline(inst, image.height, image.width))
-        for inst in image.instances
-    ]
-    gt_thin += [empty_gt] * (len(maps) - len(gt_thin))
+    shape = (image.height, image.width)
+    gt_index = [index_edges(thin(rasterize_polyline(inst, *shape))) for inst in image.instances]
+    gt_index += [index_edges(_owned(np.zeros(shape, dtype=bool)))] * (len(maps) - len(gt_index))
     order = np.argsort(cfg.thresholds, kind="stable").tolist()
     ascending = [cfg.thresholds[i] for i in order]
     fired = np.empty((len(maps), len(order)), dtype=np.intp)
@@ -555,14 +593,17 @@ def _image_curves(
     pr = np.empty((len(order), 2))
     for k, (i, t) in enumerate(zip(order, ascending)):
         thinned: dict[bytes, BitMap] = {}
-        for slot, (pm, gt_map) in enumerate(zip(maps, gt_thin)):
+        for slot, (pm, gt) in enumerate(zip(maps, gt_index)):
             if changed[slot, k]:
                 bits = binarize(pm, t)
-                # Every map of one image has its shape, so the packed bits are exact.
-                key = np.packbits(bits.bits).tobytes()
-                if key not in thinned:
-                    thinned[key] = thin(bits)
-                last[slot] = match_instance(thinned[key], gt_map, cfg)
+                if fired[slot, k] == bits.bits.size:
+                    cache, key = full_frames, shape
+                else:
+                    # Every map of one image has its shape, so the packed bits are exact.
+                    cache, key = thinned, np.packbits(bits.bits).tobytes()
+                if key not in cache:
+                    cache[key] = thin(bits)
+                last[slot] = match_instance(cache[key], gt, cfg)
         pr[i] = image_pr(last)
     return pr[:, 0], pr[:, 1], np.array([fscore(p, r) for p, r in pr.tolist()])
 
@@ -587,6 +628,9 @@ def evaluate(
     map is looked up once, when its image is scored on one of ``workers``
     threads, so at most ``workers`` images' maps are in use at once. The
     reduction is ordered by image id, so results do not depend on ``workers``.
+    The thinned whole frame, which every never-zero map gives at threshold
+    0, is computed once per image shape and shared by this call's images
+    (two threads may each compute it once); nothing is kept between calls.
 
     Raises:
         ValueError: a prediction references an unknown image or instance, or
@@ -606,6 +650,7 @@ def evaluate(
                 raise ValueError(
                     f"image {image_id}: prediction for unknown instance_id {instance_id}"
                 )
+    full_frames: dict[tuple[int, int], BitMap] = {}
 
     def run(image_id: int):
         image = by_id[image_id]
@@ -623,7 +668,7 @@ def evaluate(
                     f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"
                 )
         try:
-            return _image_curves(image, maps, cfg)
+            return _image_curves(image, maps, cfg, full_frames)
         except (ValueError, MemoryError) as exc:  # an image too large to allocate
             raise ValueError(f"image {image_id} ({image.height}x{image.width}): {exc}") from exc
 

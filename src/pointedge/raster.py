@@ -34,20 +34,30 @@ TUNNEL_VALUE = 0.7
 
 @dataclass(frozen=True, eq=False)
 class BitMap:
-    """A 2-D binary grid. ``bits`` is a read-only boolean array."""
+    """A 2-D binary grid. ``bits`` is a read-only boolean array.
+
+    A bool ndarray that is already read-only and owns its memory is kept as
+    it is, so a function that built it hands it over without a copy; any
+    other input (a writable array, a view, 0/1 integers or a list) is
+    copied, so no caller's later writes reach the map.
+    """
 
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.bits)
-        if arr.ndim != 2:
-            raise ValueError(f"BitMap needs a 2-D grid, got shape {arr.shape}")
-        if arr.dtype != np.bool_:
-            if not np.isin(arr, (0, 1)).all():
+        arr = self.bits
+        if not (
+            type(arr) is np.ndarray
+            and arr.dtype == np.bool_
+            and not arr.flags.writeable
+            and arr.base is None
+        ):
+            arr = np.asarray(arr)
+            if arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
                 raise ValueError("BitMap values must be 0 or 1")
             arr = arr.astype(bool)
-        else:
-            arr = arr.copy()
+        if arr.ndim != 2:
+            raise ValueError(f"BitMap needs a 2-D grid, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
 

@@ -487,3 +487,27 @@ def random_dataset(
             )
         )
     return Dataset(images=tuple(images), categories={0: "thing"}), predictions
+
+
+# ---------------------------------------------------------------------------
+# Call counting
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, module, *names: str) -> dict[str, list[tuple]]:
+    """Record every call of the named functions of ``module``.
+
+    Each name is replaced, through ``monkeypatch``, by a wrapper that appends
+    the call's positional arguments to the returned list for that name and
+    then calls the real function. ``monkeypatch.undo()`` or the test's end
+    restores the originals.
+    """
+    calls: dict[str, list[tuple]] = {}
+    for name in names:
+        real, log = getattr(module, name), calls.setdefault(name, [])
+
+        def recording(*args, _real=real, _log=log, **kwargs):
+            _log.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    return calls

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointedge.metrics
 from pointedge import (
     BitMap,
+    EdgeIndex,
     EvalConfig,
     GrayMap,
     MatchResult,
@@ -23,6 +25,7 @@ from pointedge import (
     evaluate,
     fscore,
     image_pr,
+    index_edges,
     match_instance,
     pair_instances,
     rasterize_polyline,
@@ -33,6 +36,7 @@ from helpers import (
     bitmap_from_pixels,
     brute_force_match,
     component_count,
+    count_calls,
     dense_match,
     eval_oracle,
     flat_ring_instance,
@@ -192,15 +196,25 @@ def clustered_nodes(draw) -> tuple[list, list, EvalConfig]:
     return gt, pred, EvalConfig(max_dist_fraction=fraction)
 
 
+def match_both(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> MatchResult:
+    """``match_instance`` with the ground truth given as a map and as its index.
+
+    The two results must be equal: counts, totals and the chosen pairs.
+    """
+    result = match_instance(pred, gt, cfg)
+    assert match_instance(pred, index_edges(gt), cfg) == result
+    return result
+
+
 def assert_optimal_match(pred: BitMap, gt: BitMap, cfg: EvalConfig, oracle) -> tuple[int, int]:
-    """Check ``match_instance`` against an oracle's (count, total distance).
+    """Check :func:`match_both` against an oracle's (count, total distance).
 
     Compares cardinality and cost, not which pairs were chosen: ties may
     resolve to any optimum. Returns the (gt, pred) node counts.
     """
     gxy, pxy = np.argwhere(gt.bits), np.argwhere(pred.bits)
     d = cfg.max_distance(*gt.bits.shape)
-    result = match_instance(pred, gt, cfg)
+    result = match_both(pred, gt, cfg)
     assert (result.gt_total, result.pred_total) == (len(gxy), len(pxy))
     gt_side = [g for g, _ in result.matched_pairs]
     pred_side = [p for _, p in result.matched_pairs]
@@ -219,7 +233,7 @@ class TestMatchInstance:
         bits = np.zeros((12, 12), dtype=bool)
         bits[3, 2:9] = True
         bm = BitMap(bits)
-        result = match_instance(bm, bm)
+        result = match_both(bm, bm)
         assert result.matched == result.pred_total == result.gt_total == 7
         for g, p in result.matched_pairs:
             assert g == p
@@ -227,7 +241,7 @@ class TestMatchInstance:
     def test_translation_beyond_d_matches_nothing(self):
         gt = bitmap_from_pixels(16, 16, [(3, c) for c in range(2, 8)])
         pred = bitmap_from_pixels(16, 16, [(9, c) for c in range(2, 8)])
-        result = match_instance(pred, gt)  # default d is below one pixel
+        result = match_both(pred, gt)  # default d is below one pixel
         assert result.matched == 0
         assert result.pred_total == result.gt_total == 6
 
@@ -237,16 +251,16 @@ class TestMatchInstance:
         cfg = EvalConfig(max_dist_fraction=0.2)
         gt = bitmap_from_pixels(3, 4, [(1, 1)])
         pred = bitmap_from_pixels(3, 4, [(1, 2)])
-        assert match_instance(pred, gt, cfg).matched == 0
+        assert match_both(pred, gt, cfg).matched == 0
         just_over = EvalConfig(max_dist_fraction=0.21)
-        assert match_instance(pred, gt, just_over).matched == 1
+        assert match_both(pred, gt, just_over).matched == 1
 
     def test_empty_sides(self):
         empty = BitMap(np.zeros((8, 8), dtype=bool))
         some = bitmap_from_pixels(8, 8, [(1, 1), (2, 2)])
-        a = match_instance(empty, some)
+        a = match_both(empty, some)
         assert (a.matched, a.pred_total, a.gt_total) == (0, 0, 2)
-        b = match_instance(some, empty)
+        b = match_both(some, empty)
         assert (b.matched, b.pred_total, b.gt_total) == (0, 2, 0)
 
     def test_prefers_cardinality_over_distance(self):
@@ -256,7 +270,7 @@ class TestMatchInstance:
         cfg = EvalConfig(max_dist_fraction=0.35)  # d ~ 4.95 on 10x10
         gt = bitmap_from_pixels(10, 10, [(5, 2), (5, 6)])  # a, b
         pred = bitmap_from_pixels(10, 10, [(5, 5), (5, 9)])  # p, q
-        result = match_instance(pred, gt, cfg)
+        result = match_both(pred, gt, cfg)
         assert result.matched == 2
         assert set(result.matched_pairs) == {(0, 0), (1, 1)}
 
@@ -322,13 +336,13 @@ class TestMatchInstance:
         # its gt, and no nearer gt exists.
         gt = bitmap_from_pixels(30, 40, [(2, 2), (2, 20), (20, 2)])
         pred = bitmap_from_pixels(30, 40, [(5, 6), (2, 25), (25, 2)])
-        result = match_instance(pred, gt, cfg)
+        result = match_both(pred, gt, cfg)
         assert (result.matched, result.pred_total, result.gt_total) == (0, 3, 3)
         # Mixed with pairs just inside the bound, only those match.
         gt = bitmap_from_pixels(30, 40, [(2, 2), (2, 20), (20, 2), (20, 30)])
         pred = bitmap_from_pixels(30, 40, [(5, 6), (2, 24), (25, 2), (24, 32)])
         assert_optimal_match(pred, gt, cfg, dense_match)
-        assert match_instance(pred, gt, cfg).matched_pairs == ((1, 0), (3, 2))
+        assert match_both(pred, gt, cfg).matched_pairs == ((1, 0), (3, 2))
 
     @settings(max_examples=200, deadline=None)
     @given(clustered_nodes())
@@ -346,22 +360,39 @@ class TestMatchInstance:
         flat = np.zeros(h * w, dtype=bool)
         flat[np.random.default_rng(5).choice(h * w, size=100_000, replace=False)] = True
         pred = BitMap(flat.reshape(h, w))
-        tracemalloc.start()
-        try:
-            result = match_instance(pred, gt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results = []
+        for gt_side in (gt, index_edges(gt)):  # the map, then a prepared index
+            tracemalloc.start()
+            try:
+                results.append(match_instance(pred, gt_side))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
+        result = results[0]
+        assert results[1] == result
         assert (result.gt_total, result.pred_total) == (600, 100_000)
         assert result.matched == 600  # every GT node has ~38 candidates
-        assert peak < 64 * 2**20
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            match_instance(
-                BitMap(np.zeros((4, 4), dtype=bool)),
-                BitMap(np.zeros((5, 4), dtype=bool)),
-            )
+        pred = BitMap(np.zeros((4, 4), dtype=bool))
+        gt = BitMap(np.zeros((5, 4), dtype=bool))
+        message = r"prediction shape \(4, 4\) != ground truth shape \(5, 4\)"
+        for gt_side in (gt, index_edges(gt)):
+            with pytest.raises(ValueError, match=message):
+                match_instance(pred, gt_side)
+
+    def test_index_holds_the_edge_nodes(self):
+        gt = bitmap_from_pixels(6, 7, [(4, 1), (0, 5), (4, 0)])
+        index = index_edges(gt)
+        assert isinstance(index, EdgeIndex)
+        assert index.shape == (6, 7)
+        assert index.nodes.tolist() == [[0, 5], [4, 0], [4, 1]]
+        assert not index.nodes.flags.writeable
+        assert index.tree.n == 3
+        empty = index_edges(BitMap(np.zeros((6, 7), dtype=bool)))
+        assert empty.nodes.shape == (0, 2)
+        assert empty.tree is None
 
     def test_match_result_validation(self):
         with pytest.raises(ValueError):
@@ -697,8 +728,6 @@ class TestEvaluate:
         assert lookups == []
 
     def test_each_binarized_map_thinned_and_matched_once(self, monkeypatch):
-        import pointedge.metrics
-
         first = flat_ring_instance(2, 9, 4, instance_id=1)
         second = flat_ring_instance(3, 12, 9, instance_id=2)
         third = flat_ring_instance(1, 6, 13, instance_id=3)
@@ -719,31 +748,13 @@ class TestEvaluate:
         }
         assert len(distinct) == 2 + 3 + 3
 
-        calls = {"binarize": 0, "thin": [], "match_instance": 0}
-        real_binarize = pointedge.metrics.binarize
-        real_thin, real_match = pointedge.metrics.thin, pointedge.metrics.match_instance
-
-        def counting_binarize(*args):
-            calls["binarize"] += 1
-            return real_binarize(*args)
-
-        def counting_thin(edges):
-            calls["thin"].append(edges.bits.copy())
-            return real_thin(edges)
-
-        def counting_match(*args):
-            calls["match_instance"] += 1
-            return real_match(*args)
-
-        monkeypatch.setattr(pointedge.metrics, "binarize", counting_binarize)
-        monkeypatch.setattr(pointedge.metrics, "thin", counting_thin)
-        monkeypatch.setattr(pointedge.metrics, "match_instance", counting_match)
+        calls = count_calls(monkeypatch, pointedge.metrics, "binarize", "thin", "match_instance")
         summary = evaluate(predictions, dataset, cfg)
         monkeypatch.undo()
 
-        assert calls["binarize"] == len(distinct)
-        assert calls["match_instance"] == len(distinct)
-        assert sum(bits.all() for bits in calls["thin"]) == 1
+        assert len(calls["binarize"]) == len(distinct)
+        assert len(calls["match_instance"]) == len(distinct)
+        assert sum(edges.bits.all() for edges, in calls["thin"]) == 1
         ods, ois, curve = eval_oracle(
             predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
         )
@@ -753,6 +764,60 @@ class TestEvaluate:
             assert (pt.threshold, pt.precision, pt.recall, pt.fscore) == pytest.approx(
                 (t, p, r, f), abs=1e-9
             )
+
+    def test_whole_frame_thinned_once_per_shape(self, monkeypatch):
+        # Never-zero maps fire on every pixel at threshold 0. That frame's
+        # thinning depends only on its shape, so two shapes take two thin
+        # calls per evaluate, and a second evaluate computes them again.
+        rng = np.random.default_rng(17)
+        images, predictions = [], {}
+        for image_id, (h, w) in enumerate(((16, 16), (12, 20), (16, 16)), start=1):
+            instances = (
+                flat_ring_instance(2, 9, 3, instance_id=1),
+                flat_ring_instance(4, 11, 8, instance_id=2),
+            )
+            images.append(ImageRecord(image_id=image_id, height=h, width=w, instances=instances))
+            predictions[image_id] = {}
+            for inst in instances:
+                edges = rasterize_polyline(inst, h, w).bits
+                noise = rng.uniform(0.01, 0.6, (h, w))
+                values = np.where(edges, rng.uniform(0.5, 1.0, (h, w)), noise)
+                predictions[image_id][inst.instance_id] = GrayMap(values)
+        dataset = Dataset(images=tuple(images), categories={0: "thing"})
+        cfg = EvalConfig()
+
+        summaries = []
+        for _ in range(2):
+            calls = count_calls(monkeypatch, pointedge.metrics, "thin")
+            summaries.append(evaluate(predictions, dataset, cfg))
+            monkeypatch.undo()
+            whole = sorted(edges.bits.shape for edges, in calls["thin"] if edges.bits.all())
+            assert whole == [(12, 20), (16, 16)]
+        assert summaries[0] == summaries[1]
+        ods, ois, curve = eval_oracle(predictions, dataset, cfg.thresholds, cfg.max_dist_fraction)
+        assert summaries[0].ods == pytest.approx(ods, abs=1e-9)
+        assert summaries[0].ois == pytest.approx(ois, abs=1e-9)
+        for pt, (t, p, r, f) in zip(summaries[0].curve, curve):
+            assert (pt.threshold, pt.precision, pt.recall, pt.fscore) == pytest.approx(
+                (t, p, r, f), abs=1e-9
+            )
+
+    def test_each_ground_truth_indexed_once(self, monkeypatch):
+        # Edge nodes are taken once per predicted map matched, once per
+        # ground-truth slot and once per image for the empty ground truth of
+        # unpaired maps, not twice per match.
+        dataset, predictions = random_dataset(np.random.default_rng(8), n_images=3)
+        decoy = np.zeros((16, 16))
+        decoy[12, 3:7] = 0.8
+        unpaired = {2: [GrayMap(decoy)]}
+        calls = count_calls(monkeypatch, pointedge.metrics, "edge_nodes", "match_instance")
+        evaluate(predictions, dataset, unpaired=unpaired)
+        monkeypatch.undo()
+
+        slots = sum(len(image.instances) + 1 for image in dataset.images)
+        assert len(calls["match_instance"]) > slots
+        assert len(calls["edge_nodes"]) == len(calls["match_instance"]) + slots
+        assert all(isinstance(gt, EdgeIndex) for _, gt, _ in calls["match_instance"])
 
     @pytest.mark.parametrize("source", ["two_image_fixture", 0, 1, 2, 3])
     def test_unsorted_repeated_thresholds_match_oracle(self, source):

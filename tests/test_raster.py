@@ -40,6 +40,39 @@ class TestBitMapGrayMap:
         with pytest.raises(ValueError):
             bm.bits[0, 0] = True
 
+    def test_bitmap_copies_a_writable_array(self):
+        bits = np.zeros((3, 4), dtype=bool)
+        bm = BitMap(bits)
+        bits[0, 0] = True
+        assert not bm.bits[0, 0]
+        assert not np.shares_memory(bm.bits, bits)
+
+    def test_bitmap_keeps_a_read_only_array_it_owns(self):
+        bits = np.zeros((3, 4), dtype=bool)
+        bits.flags.writeable = False
+        assert np.shares_memory(BitMap(bits).bits, bits)
+
+    def test_bitmap_copies_a_read_only_view(self):
+        bits = np.eye(3, 8, dtype=bool)[:, ::2]
+        bits.flags.writeable = False
+        bm = BitMap(bits)
+        assert (bm.bits == bits).all()
+        assert not np.shares_memory(bm.bits, bits)
+        assert not bm.bits.flags.writeable
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_bitmap_converts_01_integers_and_rejects_others(self, writeable):
+        ints = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        ints.flags.writeable = writeable
+        bm = BitMap(ints)
+        assert bm.bits.dtype == np.bool_
+        assert bm.bits.tolist() == [[False, True], [True, False]]
+        assert not np.shares_memory(bm.bits, ints)
+        bad = np.array([[0, 2]])
+        bad.flags.writeable = writeable
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitMap(bad)
+
     def test_graymap_range_enforced(self):
         with pytest.raises(ValueError):
             GrayMap([[0.5, 1.2]])
