@@ -43,8 +43,6 @@ from .metrics import (
     EvalSummary,
     MatchResult,
     PRPoint,
-    PredictedInstance,
-    bbox_iou,
     binarize,
     edge_nodes,
     evaluate,
@@ -52,7 +50,6 @@ from .metrics import (
     image_pr,
     index_edges,
     match_instance,
-    pair_instances,
     thin,
 )
 from .pgm import read_bitmap, read_graymap, write_bitmap, write_graymap
@@ -118,8 +115,6 @@ __all__ = [
     "EvalSummary",
     "MatchResult",
     "PRPoint",
-    "PredictedInstance",
-    "bbox_iou",
     "binarize",
     "edge_nodes",
     "evaluate",
@@ -127,6 +122,5 @@ __all__ = [
     "image_pr",
     "index_edges",
     "match_instance",
-    "pair_instances",
     "thin",
 ]

@@ -214,7 +214,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = _read_dataset(args.annotations)
     predictions = _load_predictions(Path(args.predictions), dataset)
     cfg = EvalConfig(max_dist_fraction=args.dist_fraction)
-    summary = evaluate(predictions, dataset, cfg, workers=args.workers)
+    summary = evaluate(predictions, dataset, cfg)
     missing = [
         (image.image_id, inst.instance_id)
         for image in dataset.images
@@ -257,7 +257,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         {
             "max_dist_fraction": cfg.max_dist_fraction,
             "thresholds": list(cfg.thresholds),
-            "workers": args.workers,
         },
         started,
     )
@@ -417,9 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_fraction,
         default=0.0075,
         help="matching distance as a fraction of the image diagonal",
-    )
-    p.add_argument(
-        "--workers", type=_positive_int, default=1, help="evaluation threads"
     )
     p.set_defaults(func=cmd_eval)
 

@@ -10,7 +10,6 @@ shared threshold) and OIS (mean of each image's best F).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .annotations import Dataset, ImageRecord, InstanceAnnotation
+from .annotations import Dataset, ImageRecord
 from .raster import BitMap, GrayMap, rasterize_polyline
 
 __all__ = [
@@ -29,15 +28,12 @@ __all__ = [
     "PRPoint",
     "EvalSummary",
     "EdgeIndex",
-    "PredictedInstance",
     "thin",
     "edge_nodes",
     "index_edges",
     "match_instance",
     "image_pr",
     "fscore",
-    "pair_instances",
-    "bbox_iou",
     "evaluate",
 ]
 
@@ -121,15 +117,6 @@ class EvalSummary:
     curve: tuple[PRPoint, ...]
     ods: float
     ois: float
-
-
-@dataclass(frozen=True)
-class PredictedInstance:
-    """A detector output: category, box, and an edge-probability map."""
-
-    category_id: int
-    bbox: tuple[float, float, float, float]
-    map: GrayMap
 
 
 # ---------------------------------------------------------------------------
@@ -501,47 +488,6 @@ def fscore(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def bbox_iou(a: Sequence[float], b: Sequence[float]) -> float:
-    """Intersection over union of two (x, y, w, h) boxes."""
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
-
-
-def pair_instances(
-    pred_instances: Sequence[PredictedInstance],
-    gt_instances: Sequence[InstanceAnnotation],
-) -> list[tuple[int, int]]:
-    """Greedily pair predictions with ground-truth instances.
-
-    Only same-category pairs with positive bbox IoU are eligible; pairs are
-    taken in descending IoU order (ties broken by prediction then ground
-    truth index), each side used at most once. Returns (pred index, gt index)
-    pairs sorted by prediction index.
-    """
-    candidates = sorted(
-        (-bbox_iou(pred.bbox, gt.bbox), i, j)
-        for i, pred in enumerate(pred_instances)
-        for j, gt in enumerate(gt_instances)
-        if pred.category_id == gt.category_id
-        and bbox_iou(pred.bbox, gt.bbox) > 0.0
-    )
-    used_pred: set[int] = set()
-    used_gt: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for _, i, j in candidates:
-        if i in used_pred or j in used_gt:
-            continue
-        used_pred.add(i)
-        used_gt.add(j)
-        pairs.append((i, j))
-    return sorted(pairs)
-
-
 # ---------------------------------------------------------------------------
 # Dataset evaluation
 # ---------------------------------------------------------------------------
@@ -564,23 +510,20 @@ def _image_curves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-threshold precision, recall, and F arrays for one image.
 
-    ``maps`` holds one map per instance, then the unpaired maps. A slot's
+    ``maps`` holds one map per instance, in instance order. A slot's
     binarized maps shrink as the threshold rises, so two thresholds give it
     the same binarized map exactly when as many of its pixels fire at both.
     Those firing counts are taken first; the sweep then runs in ascending
     order (stable, so repeated thresholds are adjacent), and a slot is
     binarized, thinned and matched only where its count changes, its last
-    match result standing elsewhere. Slots whose binarized maps coincide at
-    one threshold share one thinning. A map on which every pixel fires is
+    match result standing elsewhere. A map on which every pixel fires is
     the whole frame, whose thinning depends only on its shape: it is taken
     from ``full_frames``, keyed by (H, W), which the first such map of that
     shape fills. Each ground-truth slot is thinned and indexed once (see
-    :func:`index_edges`), as is the empty ground truth of the unpaired
-    maps. The arrays follow ``cfg.thresholds``.
+    :func:`index_edges`). The arrays follow ``cfg.thresholds``.
     """
     shape = (image.height, image.width)
     gt_index = [index_edges(thin(rasterize_polyline(inst, *shape))) for inst in image.instances]
-    gt_index += [index_edges(_owned(np.zeros(shape, dtype=bool)))] * (len(maps) - len(gt_index))
     order = np.argsort(cfg.thresholds, kind="stable").tolist()
     ascending = [cfg.thresholds[i] for i in order]
     fired = np.empty((len(maps), len(order)), dtype=np.intp)
@@ -592,18 +535,16 @@ def _image_curves(
     last: list[MatchResult | None] = [None] * len(maps)
     pr = np.empty((len(order), 2))
     for k, (i, t) in enumerate(zip(order, ascending)):
-        thinned: dict[bytes, BitMap] = {}
         for slot, (pm, gt) in enumerate(zip(maps, gt_index)):
             if changed[slot, k]:
                 bits = binarize(pm, t)
-                if fired[slot, k] == bits.bits.size:
-                    cache, key = full_frames, shape
+                if fired[slot, k] < bits.bits.size:
+                    edges = thin(bits)
+                elif shape in full_frames:
+                    edges = full_frames[shape]
                 else:
-                    # Every map of one image has its shape, so the packed bits are exact.
-                    cache, key = thinned, np.packbits(bits.bits).tobytes()
-                if key not in cache:
-                    cache[key] = thin(bits)
-                last[slot] = match_instance(cache[key], gt, cfg)
+                    edges = full_frames[shape] = thin(bits)
+                last[slot] = match_instance(edges, gt, cfg)
         pr[i] = image_pr(last)
     return pr[:, 0], pr[:, 1], np.array([fscore(p, r) for p, r in pr.tolist()])
 
@@ -612,35 +553,29 @@ def evaluate(
     predictions: Mapping[int, Mapping[int, GrayMap]],
     gts: Dataset,
     cfg: EvalConfig = EvalConfig(),
-    *,
-    unpaired: Mapping[int, Sequence[GrayMap]] | None = None,
-    workers: int = 1,
 ) -> EvalSummary:
     """Score a dataset of per-instance edge-probability maps.
 
-    ``predictions`` maps image_id -> instance_id -> probability map for
-    predictions already paired to ground-truth instances (see
-    :func:`pair_instances`); an instance without a map is scored as an
-    all-zero map. ``unpaired`` optionally carries leftover prediction maps
-    per image, which count toward the prediction totals with zero matches.
+    ``predictions`` maps image_id -> instance_id -> probability map, each
+    map scored against the ground-truth instance of that id; an instance
+    without a map is scored as an all-zero map.
 
-    Ids are checked from the mapping keys before any map is looked up. Each
-    map is looked up once, when its image is scored on one of ``workers``
-    threads, so at most ``workers`` images' maps are in use at once. The
-    reduction is ordered by image id, so results do not depend on ``workers``.
-    The thinned whole frame, which every never-zero map gives at threshold
-    0, is computed once per image shape and shared by this call's images
-    (two threads may each compute it once); nothing is kept between calls.
+    Ids are checked from the mapping keys before any map is looked up. The
+    images are then scored one at a time in image-id order, and each map is
+    looked up once, when its image is scored, so only one image's maps are
+    in use at a time. The thinned whole frame, which every never-zero map
+    gives at threshold 0, is computed once per image shape and shared by
+    this call's images; nothing is kept between calls.
 
     Raises:
-        ValueError: a prediction references an unknown image or instance, or
-            a map's dimensions disagree with its image (found when scored).
+        ValueError: a prediction references an unknown image or instance, a
+            map's dimensions disagree with its image, or an image is too
+            large to allocate (the last two found when that image is scored).
     """
     if not gts.images:
         raise ValueError("dataset has no images")
     by_id = {image.image_id: image for image in gts.images}
-    unpaired = unpaired or {}
-    for image_id in (*predictions, *unpaired):
+    for image_id in predictions:
         if image_id not in by_id:
             raise ValueError(f"prediction for unknown image_id {image_id}")
     for image_id, inst_maps in predictions.items():
@@ -652,33 +587,28 @@ def evaluate(
                 )
     full_frames: dict[tuple[int, int], BitMap] = {}
 
-    def run(image_id: int):
+    def curves(image_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # A function, so that an image's maps are released before the next
+        # image's are read.
         image = by_id[image_id]
+        shape = (image.height, image.width)
         inst_maps = predictions.get(image_id, {})
         maps = [inst_maps.get(inst.instance_id) for inst in image.instances]
-        blank = GrayMap(np.zeros((image.height, image.width))) if None in maps else None
-        maps = [blank if graymap is None else graymap for graymap in maps]
-        maps += unpaired.get(image_id, ())
-        labels = [f"instance {inst.instance_id}" for inst in image.instances]
-        labels += ["an unpaired map"] * (len(maps) - len(labels))
-        for label, graymap in zip(labels, maps):
-            if graymap.values.shape != (image.height, image.width):
+        for inst, graymap in zip(image.instances, maps):
+            if graymap is not None and graymap.values.shape != shape:
                 raise ValueError(
-                    f"image {image_id}: prediction for {label} is "
+                    f"image {image_id}: prediction for instance {inst.instance_id} is "
                     f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"
                 )
         try:
+            if None in maps:
+                blank = GrayMap(np.zeros(shape))
+                maps = [blank if graymap is None else graymap for graymap in maps]
             return _image_curves(image, maps, cfg, full_frames)
         except (ValueError, MemoryError) as exc:  # an image too large to allocate
             raise ValueError(f"image {image_id} ({image.height}x{image.width}): {exc}") from exc
 
-    ordered = sorted(by_id)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_image = list(pool.map(run, ordered))
-    else:
-        per_image = [run(image_id) for image_id in ordered]
-
+    per_image = [curves(image_id) for image_id in sorted(by_id)]
     p_stack = np.stack([p for p, _, _ in per_image])
     r_stack = np.stack([r for _, r, _ in per_image])
     f_stack = np.stack([f for _, _, f in per_image])

@@ -4,16 +4,18 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointedge import GrayMap, parse_dataset, rasterize_polyline, write_graymap
+from pointedge import GrayMap, parse_dataset, rasterize_polyline, read_graymap, write_graymap
 from pointedge.cli import main
 
 ANN_DOC = {
@@ -270,25 +272,18 @@ class TestEval:
     def test_rerun_and_workers_byte_identical(self, ann_path, tmp_path):
         preds = write_exact_predictions(tmp_path / "preds", ann_path, skip={(2, 3)})
         outs = []
-        for name, workers in (("r1", "1"), ("r2", "1"), ("r3", "3")):
+        for name in ("r1", "r2"):
             out = tmp_path / name
-            code = main(
-                [
-                    "eval",
-                    str(ann_path),
-                    str(preds),
-                    "--out",
-                    str(out),
-                    "--workers",
-                    workers,
-                ]
-            )
-            assert code == 0
+            assert main(["eval", str(ann_path), str(preds), "--out", str(out)]) == 0
             outs.append(out)
-        first = outs[0]
-        for other in outs[1:]:
-            for name in ("report.txt", "pr_curve.csv"):
-                assert (first / name).read_bytes() == (other / name).read_bytes()
+        for name in ("report.txt", "pr_curve.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_workers_option_is_gone(self, ann_path, tmp_path, capsys):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        argv = ["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o"), "--workers", "2"]
+        assert main(argv) == 1
+        assert "--workers" in capsys.readouterr().err
 
     def test_corrupt_graymap_exits_1(self, ann_path, tmp_path, capsys):
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
@@ -307,15 +302,38 @@ class TestEval:
         assert "instance_id 99" in capsys.readouterr().err
 
     def test_unallocatable_image_without_predictions_exits_1(self, ann_path, tmp_path, capsys):
+        # The instance's all-zero stand-in map is the first thing to allocate.
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
         doc = json.loads(json.dumps(ANN_DOC))
         doc["images"].append({"id": 3, "height": 10**9, "width": 10**9})
+        doc["annotations"].append(
+            {
+                "id": 4,
+                "image_id": 3,
+                "category_id": 0,
+                "bbox": [3.0, 5.0, 6.0, 1.0],
+                "segmentation": [[3, 5, 9, 5, 6, 5]],
+            }
+        )
         ann_path.write_text(json.dumps(doc))
         code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: image 3 (1000000000x1000000000): ")
+        assert "allocate" in err
         assert "Traceback" not in err
+
+    def test_huge_image_without_instances_needs_no_allocation(self, ann_path, tmp_path, capsys):
+        # No map on either side: precision 1 and recall 1 by the empty-side
+        # conventions, with no H x W array made.
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        doc = json.loads(json.dumps(ANN_DOC))
+        doc["images"].append({"id": 3, "height": 10**9, "width": 10**9})
+        ann_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["eval", str(ann_path), str(preds), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "ODS 1.0000\nOIS 1.0000\n"
+        assert "images: 3" in (out / "report.txt").read_text().splitlines()
 
     def test_category_mismatch_exits_1(self, ann_path, tmp_path, capsys):
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
@@ -420,6 +438,57 @@ class TestEval:
         )
         capsys.readouterr()
         assert "lambda: 0.05" in (out / "report.txt").read_text()
+
+
+# Runs in its own interpreter, since installing the spans rebinds pointedge's
+# module globals for good. argv: bench directory, annotations, predictions, out.
+TRACED_EVAL = """
+import json, sys
+from collections import Counter
+sys.path.insert(0, sys.argv[1])
+import spans
+import pointedge.cli
+recorder = spans.Recorder()
+spans.install(recorder)
+code = recorder.root("cli.main", pointedge.cli.main, ["eval", *sys.argv[2:4], "--out", sys.argv[4]])
+_, problems = spans.self_times(recorder.spans)
+print(json.dumps({
+    "code": code,
+    "calls": Counter(span["layer"] for span in recorder.spans),
+    "expected": spans.EXPECTED,
+    "problems": problems,
+}))
+"""
+
+
+def test_benchmark_tracer_reaches_every_eval_layer(ann_path, tmp_path):
+    # Never-zero maps fire on the whole frame at threshold 0, so the
+    # whole-frame thinning is traced too.
+    preds = write_exact_predictions(tmp_path / "preds", ann_path)
+    for path in preds.glob("*.pgm"):
+        edges = read_graymap(path).values
+        write_graymap(GrayMap(0.05 + 0.95 * edges), path)
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_EVAL, str(root / "bench"), str(ann_path), str(preds),
+         str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])  # after the ODS and OIS lines
+    assert result["code"] == 0
+    eval_layers = [
+        layer
+        for layer in result["expected"]
+        if layer in ("annotations.parse", "pgm.read", "raster.polyline")
+        or layer.startswith("metrics.")
+    ]
+    assert len(eval_layers) == 9
+    assert [layer for layer in eval_layers if not result["calls"].get(layer)] == []
+    assert result["problems"] == []
 
 
 UNDECODABLE_JSON = {

@@ -1,8 +1,9 @@
-"""Tests for thinning, matching, accumulation, pairing, and ODS/OIS."""
+"""Tests for thinning, matching, accumulation, and ODS/OIS."""
 
 import hashlib
 import math
 import tracemalloc
+import weakref
 from collections.abc import Mapping
 
 import numpy as np
@@ -17,8 +18,6 @@ from pointedge import (
     EvalConfig,
     GrayMap,
     MatchResult,
-    PredictedInstance,
-    bbox_iou,
     binarize,
     build_tunnel_target,
     edge_nodes,
@@ -27,7 +26,6 @@ from pointedge import (
     image_pr,
     index_edges,
     match_instance,
-    pair_instances,
     rasterize_polyline,
     thin,
 )
@@ -40,7 +38,6 @@ from helpers import (
     dense_match,
     eval_oracle,
     flat_ring_instance,
-    make_instance,
     random_blob,
     random_dataset,
     reference_thin,
@@ -444,81 +441,6 @@ def test_fscore_conventions():
     assert fscore(0.5, 1.0) == pytest.approx(2 / 3)
 
 
-class TestPairInstances:
-    @staticmethod
-    def pred(category_id, bbox):
-        return PredictedInstance(
-            category_id=category_id,
-            bbox=bbox,
-            map=GrayMap(np.zeros((4, 4))),
-        )
-
-    @staticmethod
-    def gt(instance_id, category_id, x, y, w, h):
-        return make_instance(
-            ((x, y), (x + w, y), (x + w / 2, y + h)),
-            instance_id=instance_id,
-            category_id=category_id,
-        )
-
-    def test_identity_pairing(self):
-        gts = [self.gt(1, 0, 1, 1, 3, 3), self.gt(2, 1, 8, 8, 3, 3)]
-        preds = [self.pred(0, gts[0].bbox), self.pred(1, gts[1].bbox)]
-        assert pair_instances(preds, gts) == [(0, 0), (1, 1)]
-
-    def test_category_mismatch_blocks_pairs(self):
-        gts = [self.gt(1, 0, 1, 1, 3, 3)]
-        preds = [self.pred(1, gts[0].bbox)]
-        assert pair_instances(preds, gts) == []
-
-    def test_zero_iou_not_paired(self):
-        gts = [self.gt(1, 0, 1, 1, 2, 2)]
-        preds = [self.pred(0, (10.0, 10.0, 2.0, 2.0))]
-        assert pair_instances(preds, gts) == []
-
-    def test_greedy_takes_best_iou_first(self):
-        gts = [self.gt(1, 0, 0, 0, 4, 4)]
-        close = self.pred(0, (0.0, 0.0, 4.0, 4.0))
-        far = self.pred(0, (2.0, 2.0, 4.0, 4.0))
-        assert pair_instances([far, close], gts) == [(1, 0)]
-
-    def test_three_by_three_matches_brute_force(self):
-        # Diagonal-dominant IoU so greedy and optimal coincide; the oracle
-        # maximizes total IoU over all injective assignments.
-        gts = [
-            self.gt(1, 0, 0, 0, 4, 4),
-            self.gt(2, 0, 10, 0, 4, 4),
-            self.gt(3, 0, 0, 10, 4, 4),
-        ]
-        preds = [
-            self.pred(0, (0.5, 0.0, 4.0, 4.0)),
-            self.pred(0, (10.5, 0.0, 4.0, 4.0)),
-            self.pred(0, (0.5, 10.0, 4.0, 4.0)),
-        ]
-        from itertools import permutations
-
-        best, best_pairs = -1.0, None
-        for perm in permutations(range(3)):
-            total = sum(
-                bbox_iou(preds[i].bbox, gts[j].bbox) for i, j in enumerate(perm)
-            )
-            if total > best:
-                best, best_pairs = total, [(i, j) for i, j in enumerate(perm)]
-        assert pair_instances(preds, gts) == best_pairs
-
-    def test_each_side_used_once(self):
-        gts = [self.gt(1, 0, 0, 0, 4, 4), self.gt(2, 0, 1, 1, 4, 4)]
-        preds = [self.pred(0, (0.0, 0.0, 4.0, 4.0))]
-        pairs = pair_instances(preds, gts)
-        assert len(pairs) == 1
-
-
-def test_bbox_iou():
-    assert bbox_iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
-    assert bbox_iou((0, 0, 2, 2), (5, 5, 2, 2)) == 0.0
-    assert bbox_iou((0, 0, 2, 2), (1, 0, 2, 2)) == pytest.approx(1 / 3)
-
-
 class TestBinarize:
     def test_threshold_zero_keeps_positive_pixels_only(self):
         gm = GrayMap([[0.0, 0.2, 1.0]])
@@ -665,29 +587,10 @@ class TestEvaluate:
         b = evaluate(predictions, Dataset(images=(flipped,), categories=categories))
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        rng = np.random.default_rng(9)
-        dataset, predictions = random_dataset(rng, n_images=4)
-        a = evaluate(predictions, dataset, workers=1)
-        b = evaluate(predictions, dataset, workers=3)
-        assert a == b
-
     def test_missing_instance_prediction_scored_empty(self):
         dataset, predictions = exact_prediction_setup()
         summary = evaluate({1: {}}, dataset)
         assert summary.ods == 0.0  # precision 1, recall 0 everywhere
-
-    def test_unpaired_maps_count_against_precision(self):
-        dataset, predictions = exact_prediction_setup()
-        decoy = np.zeros((16, 16))
-        decoy[12, 3:7] = 1.0
-        summary = evaluate(
-            predictions, dataset, unpaired={1: [GrayMap(decoy)]}
-        )
-        top = summary.curve[-1]
-        assert top.recall == pytest.approx(1.0, abs=1e-9)
-        assert top.precision < 1.0
-        assert summary.ods < 1.0
 
     def test_unknown_image_rejected(self):
         dataset, predictions = exact_prediction_setup()
@@ -700,23 +603,39 @@ class TestEvaluate:
             evaluate({1: {9: predictions[1][1]}}, dataset)
 
     def test_dimension_mismatch_rejected(self):
-        dataset, predictions = exact_prediction_setup()
+        dataset, _ = exact_prediction_setup()
         small = GrayMap(np.zeros((8, 8)))
         with pytest.raises(ValueError, match="image 1: prediction for instance 1 is 8x8"):
             evaluate({1: {1: small}}, dataset)
-        with pytest.raises(ValueError, match="image 1: prediction for an unpaired map is 8x8"):
-            evaluate(predictions, dataset, unpaired={1: [small]})
 
     def test_each_map_looked_up_once_image_by_image(self):
         dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
         lookups = []
         recording = {i: RecordingMaps(i, maps, lookups) for i, maps in predictions.items()}
-        assert evaluate(recording, dataset, workers=1) == evaluate(predictions, dataset)
+        assert evaluate(recording, dataset) == evaluate(predictions, dataset)
         assert sorted(lookups) == sorted(
             (i, j) for i, maps in predictions.items() for j in maps
         )
         images = [i for i, _ in lookups]
         assert images == sorted(images)
+
+    def test_earlier_images_maps_released_before_next_read(self):
+        # Every lookup hands out a new map; when a map is read, no map of an
+        # earlier image may still be referenced.
+        dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
+        handed, held = [], []
+
+        class FreshMaps(RecordingMaps):
+            def __getitem__(self, instance_id):
+                held.extend(i for i, ref in handed if i != self.image_id and ref() is not None)
+                graymap = GrayMap(super().__getitem__(instance_id).values.copy())
+                handed.append((self.image_id, weakref.ref(graymap)))
+                return graymap
+
+        recording = {i: FreshMaps(i, maps, []) for i, maps in predictions.items()}
+        assert evaluate(recording, dataset) == evaluate(predictions, dataset)
+        assert len({i for i, _ in handed}) == 4
+        assert held == []
 
     def test_unknown_instance_rejected_before_any_lookup(self):
         dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
@@ -803,18 +722,14 @@ class TestEvaluate:
             )
 
     def test_each_ground_truth_indexed_once(self, monkeypatch):
-        # Edge nodes are taken once per predicted map matched, once per
-        # ground-truth slot and once per image for the empty ground truth of
-        # unpaired maps, not twice per match.
+        # Edge nodes are taken once per predicted map matched and once per
+        # ground-truth slot, not twice per match.
         dataset, predictions = random_dataset(np.random.default_rng(8), n_images=3)
-        decoy = np.zeros((16, 16))
-        decoy[12, 3:7] = 0.8
-        unpaired = {2: [GrayMap(decoy)]}
         calls = count_calls(monkeypatch, pointedge.metrics, "edge_nodes", "match_instance")
-        evaluate(predictions, dataset, unpaired=unpaired)
+        evaluate(predictions, dataset)
         monkeypatch.undo()
 
-        slots = sum(len(image.instances) + 1 for image in dataset.images)
+        slots = sum(len(image.instances) for image in dataset.images)
         assert len(calls["match_instance"]) > slots
         assert len(calls["edge_nodes"]) == len(calls["match_instance"]) + slots
         assert all(isinstance(gt, EdgeIndex) for _, gt, _ in calls["match_instance"])
