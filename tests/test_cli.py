@@ -396,7 +396,7 @@ class TestEval:
         code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "image 1: prediction for instance 2 is 4x4, image is 16x16" in err
+        assert err == "error: image 1: prediction for instance 2 is 4x4, image is 16x16\n"
 
     def test_missing_predictions_dir_exits_2(self, ann_path, tmp_path, capsys):
         code = main(

@@ -605,7 +605,9 @@ class TestEvaluate:
     def test_dimension_mismatch_rejected(self):
         dataset, _ = exact_prediction_setup()
         small = GrayMap(np.zeros((8, 8)))
-        with pytest.raises(ValueError, match="image 1: prediction for instance 1 is 8x8"):
+        with pytest.raises(
+            ValueError, match=r"^image 1: prediction for instance 1 is 8x8, image is 16x16$"
+        ):
             evaluate({1: {1: small}}, dataset)
 
     def test_each_map_looked_up_once_image_by_image(self):
