@@ -52,7 +52,7 @@ from .metrics import (
     match_instance,
     thin,
 )
-from .pgm import read_bitmap, read_graymap, write_bitmap, write_graymap
+from .pgm import read_graymap, write_graymap
 from .raster import (
     TUNNEL_VALUE,
     BitMap,
@@ -87,9 +87,7 @@ __all__ = [
     "rasterize_mask",
     "rasterize_polyline",
     # pgm
-    "read_bitmap",
     "read_graymap",
-    "write_bitmap",
     "write_graymap",
     # losses
     "FocalConfig",

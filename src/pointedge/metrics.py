@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -467,15 +467,15 @@ def match_instance(
     return MatchResult(tuple(pairs), pred_total=n_pred, gt_total=n_gt)
 
 
-def image_pr(per_instance: Sequence[MatchResult]) -> tuple[float, float]:
-    """Pool instance matches into one image's precision and recall.
+def image_pr(counts: np.ndarray) -> tuple[float, float]:
+    """Pool count rows into one image's precision and recall.
 
-    Conventions for empty sides: no predicted pixels gives precision 1, no
-    ground-truth pixels gives recall 1.
+    ``counts`` holds one (matched, predicted, GT) node-count row per
+    instance, as an ``(n, 3)`` array; any leading shape is flattened into
+    rows. Conventions for empty sides: no predicted pixels gives precision
+    1, no ground-truth pixels gives recall 1.
     """
-    matched = sum(r.matched for r in per_instance)
-    pred_total = sum(r.pred_total for r in per_instance)
-    gt_total = sum(r.gt_total for r in per_instance)
+    matched, pred_total, gt_total = np.asarray(counts).reshape(-1, 3).sum(axis=0).tolist()
     precision = matched / pred_total if pred_total else 1.0
     recall = matched / gt_total if gt_total else 1.0
     return precision, recall
@@ -502,51 +502,81 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
     return _owned(values > 0.0 if threshold <= 0.0 else values >= threshold)
 
 
-def _image_curves(
-    image: ImageRecord,
-    maps: Sequence[GrayMap],
+def _slot_counts(
+    graymap: GrayMap | None,
+    gt: EdgeIndex,
     cfg: EvalConfig,
     full_frames: dict[tuple[int, int], BitMap],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-threshold precision, recall, and F arrays for one image.
+) -> np.ndarray:
+    """One instance slot's (matched, predicted, GT) node counts, one row per
+    threshold of ``cfg.thresholds``.
 
-    ``maps`` holds one map per instance, in instance order. A slot's
-    binarized maps shrink as the threshold rises, so two thresholds give it
-    the same binarized map exactly when as many of its pixels fire at both.
-    Those firing counts are taken first; the sweep then runs in ascending
-    order (stable, so repeated thresholds are adjacent), and a slot is
-    binarized, thinned and matched only where its count changes, its last
-    match result standing elsewhere. A map on which every pixel fires is
-    the whole frame, whose thinning depends only on its shape: it is taken
-    from ``full_frames``, keyed by (H, W), which the first such map of that
-    shape fills. Each ground-truth slot is thinned and indexed once (see
-    :func:`index_edges`). The arrays follow ``cfg.thresholds``.
+    A map's binarized maps shrink as the threshold rises, so two thresholds
+    give the same one exactly when as many pixels fire at both. Those firing
+    counts are taken first; the sweep then runs in ascending order (stable,
+    so repeated thresholds are adjacent) and binarizes, thins and matches
+    only where the count changes. Where nothing fires, as everywhere for a
+    missing map, the row is (0, 0, GT nodes) and nothing is called. A map
+    that fires on every pixel is the whole frame, whose thinning depends
+    only on its shape: ``full_frames``, keyed by (H, W), keeps it.
+    """
+    counts = np.tile([0, 0, len(gt.nodes)], (len(cfg.thresholds), 1))
+    if graymap is None:
+        return counts
+    order = np.argsort(cfg.thresholds, kind="stable").tolist()
+    positive = graymap.values[graymap.values > 0.0]
+    fired = [np.count_nonzero(positive >= cfg.thresholds[i]) for i in order]
+    del positive
+    previous = None
+    for i, n in zip(order, fired):
+        if n == 0:
+            break
+        if n != previous:
+            bits = binarize(graymap, cfg.thresholds[i])
+            if n < bits.bits.size:
+                edges = thin(bits)
+            elif gt.shape in full_frames:
+                edges = full_frames[gt.shape]
+            else:
+                edges = full_frames[gt.shape] = thin(bits)
+            result = match_instance(edges, gt, cfg)
+            row = (result.matched, result.pred_total, result.gt_total)
+            previous = n
+        counts[i] = row
+    return counts
+
+
+def _image_counts(
+    image: ImageRecord,
+    inst_maps: Mapping[int, GrayMap],
+    cfg: EvalConfig,
+    full_frames: dict[tuple[int, int], BitMap],
+) -> np.ndarray:
+    """One image's counts, shaped (instance slots, thresholds, 3).
+
+    The slots are scored one at a time, in instance order. A slot's map is
+    looked up, and its size checked, when the slot starts, and released
+    when the slot ends; its ground truth is thinned and indexed once (see
+    :func:`index_edges`).
     """
     shape = (image.height, image.width)
-    gt_index = [index_edges(thin(rasterize_polyline(inst, *shape))) for inst in image.instances]
-    order = np.argsort(cfg.thresholds, kind="stable").tolist()
-    ascending = [cfg.thresholds[i] for i in order]
-    fired = np.empty((len(maps), len(order)), dtype=np.intp)
-    for slot, pm in enumerate(maps):
-        positive = pm.values[pm.values > 0.0]
-        fired[slot] = [np.count_nonzero(positive >= t) for t in ascending]
-        del positive
-    changed = np.diff(fired, axis=1, prepend=-1) != 0
-    last: list[MatchResult | None] = [None] * len(maps)
-    pr = np.empty((len(order), 2))
-    for k, (i, t) in enumerate(zip(order, ascending)):
-        for slot, (pm, gt) in enumerate(zip(maps, gt_index)):
-            if changed[slot, k]:
-                bits = binarize(pm, t)
-                if fired[slot, k] < bits.bits.size:
-                    edges = thin(bits)
-                elif shape in full_frames:
-                    edges = full_frames[shape]
-                else:
-                    edges = full_frames[shape] = thin(bits)
-                last[slot] = match_instance(edges, gt, cfg)
-        pr[i] = image_pr(last)
-    return pr[:, 0], pr[:, 1], np.array([fscore(p, r) for p, r in pr.tolist()])
+    counts = np.empty((len(image.instances), len(cfg.thresholds), 3), dtype=np.intp)
+    for slot, inst in enumerate(image.instances):
+        graymap = inst_maps.get(inst.instance_id)
+        if graymap is not None and graymap.values.shape != shape:
+            raise ValueError(
+                f"image {image.image_id}: prediction for instance {inst.instance_id} is "
+                f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"
+            )
+        try:
+            gt = index_edges(thin(rasterize_polyline(inst, *shape)))
+            counts[slot] = _slot_counts(graymap, gt, cfg, full_frames)
+        except (ValueError, MemoryError) as exc:  # an image too large to allocate
+            raise ValueError(
+                f"image {image.image_id} ({image.height}x{image.width}): {exc}"
+            ) from exc
+        del graymap  # before the next slot's map is looked up
+    return counts
 
 
 def evaluate(
@@ -558,14 +588,15 @@ def evaluate(
 
     ``predictions`` maps image_id -> instance_id -> probability map, each
     map scored against the ground-truth instance of that id; an instance
-    without a map is scored as an all-zero map.
+    without a map predicts nothing.
 
     Ids are checked from the mapping keys before any map is looked up. The
-    images are then scored one at a time in image-id order, and each map is
-    looked up once, when its image is scored, so only one image's maps are
-    in use at a time. The thinned whole frame, which every never-zero map
-    gives at threshold 0, is computed once per image shape and shared by
-    this call's images; nothing is kept between calls.
+    images are then scored one at a time in image-id order, and within an
+    image one instance slot at a time (see :func:`_image_counts`): each map
+    is looked up once, when its slot is scored, and released when the slot
+    is done, so one map is in use at a time. The thinned whole frame, which
+    every never-zero map gives at threshold 0, is computed once per image
+    shape and shared by this call's images; nothing is kept between calls.
 
     Raises:
         ValueError: a prediction references an unknown image or instance, a
@@ -586,35 +617,14 @@ def evaluate(
                     f"image {image_id}: prediction for unknown instance_id {instance_id}"
                 )
     full_frames: dict[tuple[int, int], BitMap] = {}
-
-    def curves(image_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # A function, so that an image's maps are released before the next
-        # image's are read.
-        image = by_id[image_id]
-        shape = (image.height, image.width)
-        inst_maps = predictions.get(image_id, {})
-        maps = [inst_maps.get(inst.instance_id) for inst in image.instances]
-        for inst, graymap in zip(image.instances, maps):
-            if graymap is not None and graymap.values.shape != shape:
-                raise ValueError(
-                    f"image {image_id}: prediction for instance {inst.instance_id} is "
-                    f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"
-                )
-        try:
-            if None in maps:
-                blank = GrayMap(np.zeros(shape))
-                maps = [blank if graymap is None else graymap for graymap in maps]
-            return _image_curves(image, maps, cfg, full_frames)
-        except (ValueError, MemoryError) as exc:  # an image too large to allocate
-            raise ValueError(f"image {image_id} ({image.height}x{image.width}): {exc}") from exc
-
-    per_image = [curves(image_id) for image_id in sorted(by_id)]
-    p_stack = np.stack([p for p, _, _ in per_image])
-    r_stack = np.stack([r for _, r, _ in per_image])
-    f_stack = np.stack([f for _, _, f in per_image])
-    mean_p = p_stack.mean(axis=0)
-    mean_r = r_stack.mean(axis=0)
-    mean_f = f_stack.mean(axis=0)
+    # Precision, recall and F of each image at each threshold.
+    per_image = np.empty((len(by_id), len(cfg.thresholds), 3))
+    for row, image_id in enumerate(sorted(by_id)):
+        counts = _image_counts(by_id[image_id], predictions.get(image_id, {}), cfg, full_frames)
+        for i in range(len(cfg.thresholds)):
+            precision, recall = image_pr(counts[:, i])
+            per_image[row, i] = precision, recall, fscore(precision, recall)
+    mean_p, mean_r, mean_f = per_image.mean(axis=0).T
     curve = tuple(
         PRPoint(
             threshold=t,
@@ -627,5 +637,5 @@ def evaluate(
     return EvalSummary(
         curve=curve,
         ods=float(mean_f.max()),
-        ois=float(f_stack.max(axis=1).mean()),
+        ois=float(per_image[:, :, 2].max(axis=1).mean()),
     )

@@ -1,8 +1,8 @@
-"""Binary PGM ("P5") serialization for gray and bit maps.
+"""Binary PGM ("P5") serialization for gray maps.
 
 GrayMaps are stored with maxval 65535 (two big-endian bytes per sample,
-sample = round(value * 65535)); BitMaps with maxval 1 (one byte per sample).
-Readers accept any maxval in [1, 65535] and '#' comments in the header.
+sample = round(value * 65535)). The reader accepts any maxval in [1, 65535]
+and '#' comments in the header.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import BitMap, GrayMap
+from .raster import GrayMap
 
-__all__ = ["read_bitmap", "read_graymap", "write_bitmap", "write_graymap"]
+__all__ = ["read_graymap", "write_graymap"]
 
 GRAY_MAXVAL = 65535
 
@@ -21,12 +21,6 @@ GRAY_MAXVAL = 65535
 def write_graymap(graymap: GrayMap, path: str | Path) -> None:
     samples = np.rint(graymap.values * GRAY_MAXVAL).astype(">u2")
     header = f"P5\n{graymap.width} {graymap.height}\n{GRAY_MAXVAL}\n".encode("ascii")
-    Path(path).write_bytes(header + samples.tobytes())
-
-
-def write_bitmap(bitmap: BitMap, path: str | Path) -> None:
-    samples = bitmap.bits.astype(np.uint8)
-    header = f"P5\n{bitmap.width} {bitmap.height}\n1\n".encode("ascii")
     Path(path).write_bytes(header + samples.tobytes())
 
 
@@ -81,9 +75,3 @@ def read_graymap(path: str | Path) -> GrayMap:
     values.flags.writeable = False
     return GrayMap(values)
 
-
-def read_bitmap(path: str | Path) -> BitMap:
-    samples, maxval = _read_raw(path)
-    if maxval != 1:
-        raise ValueError(f"{path}: bitmaps must use maxval 1, got {maxval}")
-    return BitMap(samples.astype(bool))

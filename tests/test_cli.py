@@ -302,7 +302,8 @@ class TestEval:
         assert "instance_id 99" in capsys.readouterr().err
 
     def test_unallocatable_image_without_predictions_exits_1(self, ann_path, tmp_path, capsys):
-        # The instance's all-zero stand-in map is the first thing to allocate.
+        # The instance has no prediction, so its ground-truth raster is the
+        # first thing to allocate.
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
         doc = json.loads(json.dumps(ANN_DOC))
         doc["images"].append({"id": 3, "height": 10**9, "width": 10**9})

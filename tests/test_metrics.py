@@ -401,38 +401,32 @@ class TestMatchInstance:
 
 
 class TestImagePR:
+    # Rows are (matched, predicted, GT) node counts, one per instance.
     def test_counts_example(self):
-        result = MatchResult(
-            tuple((i, i) for i in range(6)), pred_total=8, gt_total=10
-        )
-        p, r = image_pr([result])
+        p, r = image_pr(np.array([[6, 8, 10]]))
         assert (p, r) == (0.75, 0.6)
 
     def test_perfect_instances(self):
-        results = [
-            MatchResult(((0, 0), (1, 1)), pred_total=2, gt_total=2),
-            MatchResult(((0, 0),), pred_total=1, gt_total=1),
-        ]
-        assert image_pr(results) == (1.0, 1.0)
+        assert image_pr(np.array([[2, 2, 2], [1, 1, 1]])) == (1.0, 1.0)
 
     def test_zero_predictions_convention(self):
-        p, r = image_pr([MatchResult((), pred_total=0, gt_total=4)])
+        p, r = image_pr(np.array([[0, 0, 4]]))
         assert (p, r) == (1.0, 0.0)
 
     def test_zero_gt_convention(self):
-        p, r = image_pr([MatchResult((), pred_total=4, gt_total=0)])
+        p, r = image_pr(np.array([[0, 4, 0]]))
         assert (p, r) == (0.0, 1.0)
 
     def test_empty_list(self):
-        assert image_pr([]) == (1.0, 1.0)
+        assert image_pr(np.zeros((0, 3), dtype=int)) == (1.0, 1.0)
 
     def test_pooling_across_instances(self):
-        results = [
-            MatchResult(((0, 0),), pred_total=2, gt_total=1),
-            MatchResult((), pred_total=2, gt_total=3),
-        ]
-        p, r = image_pr(results)
+        p, r = image_pr(np.array([[1, 2, 1], [0, 2, 3]]))
         assert p == 0.25 and r == 0.25
+
+    def test_leading_shape_flattened(self):
+        counts = np.array([[[1, 2, 1], [0, 2, 3]], [[3, 4, 4], [0, 0, 0]]])
+        assert image_pr(counts) == image_pr(counts.reshape(-1, 3)) == (0.5, 0.5)
 
 
 def test_fscore_conventions():
@@ -621,23 +615,48 @@ class TestEvaluate:
         images = [i for i, _ in lookups]
         assert images == sorted(images)
 
-    def test_earlier_images_maps_released_before_next_read(self):
-        # Every lookup hands out a new map; when a map is read, no map of an
-        # earlier image may still be referenced.
+    def test_earlier_images_maps_released_before_next_read(self, monkeypatch):
+        # Every lookup hands out a new map; when a map is read, no other map,
+        # of this image or an earlier one, may still be referenced.
         dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
         handed, held = [], []
 
         class FreshMaps(RecordingMaps):
             def __getitem__(self, instance_id):
-                held.extend(i for i, ref in handed if i != self.image_id and ref() is not None)
+                held.extend(slot for slot, ref in handed if ref() is not None)
                 graymap = GrayMap(super().__getitem__(instance_id).values.copy())
-                handed.append((self.image_id, weakref.ref(graymap)))
+                handed.append(((self.image_id, instance_id), weakref.ref(graymap)))
                 return graymap
 
         recording = {i: FreshMaps(i, maps, []) for i, maps in predictions.items()}
         assert evaluate(recording, dataset) == evaluate(predictions, dataset)
-        assert len({i for i, _ in handed}) == 4
+        assert len({i for (i, _), _ in handed}) == 4
         assert held == []
+
+        # Lookups and match calls in one log: every match after the lookup of
+        # a slot, and before the next lookup, is against that slot's ground
+        # truth, so slot k+1's map is looked up only after slot k's last match.
+        events = count_calls(monkeypatch, pointedge.metrics, "match_instance")["match_instance"]
+        recording = {i: RecordingMaps(i, maps, events) for i, maps in predictions.items()}
+        evaluate(recording, dataset)
+        monkeypatch.undo()
+        images = sorted(dataset.images, key=lambda image: image.image_id)
+        gt_nodes = {
+            (image.image_id, inst.instance_id): edge_nodes(
+                thin(rasterize_polyline(inst, image.height, image.width))
+            )
+            for image in images
+            for inst in image.instances
+        }
+        lookups = [event for event in events if isinstance(event[0], int)]
+        assert lookups == list(gt_nodes)
+        assert len(events) > len(lookups)
+        slot = None
+        for event in events:
+            if isinstance(event[0], int):
+                slot = event
+            else:
+                assert np.array_equal(event[1].nodes, gt_nodes[slot])
 
     def test_unknown_instance_rejected_before_any_lookup(self):
         dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
@@ -656,6 +675,7 @@ class TestEvaluate:
             image_id=1, height=16, width=16, instances=(first, second, third)
         )
         dataset = Dataset(images=(image,), categories={0: "thing"})
+        # Each distinct non-empty binarized map is thinned and matched once.
         # Tunnel values {0, 0.7, 1} binarize to 2 distinct maps over the 20
         # thresholds; three positive levels give the identical maps 3 each.
         tunnel = build_tunnel_target(first, 16, 16).map
@@ -666,6 +686,7 @@ class TestEvaluate:
             (instance_id, binarize(graymap, t).bits.tobytes())
             for instance_id, graymap in predictions[1].items()
             for t in cfg.thresholds
+            if binarize(graymap, t).bits.any()
         }
         assert len(distinct) == 2 + 3 + 3
 
@@ -676,6 +697,41 @@ class TestEvaluate:
         assert len(calls["binarize"]) == len(distinct)
         assert len(calls["match_instance"]) == len(distinct)
         assert sum(edges.bits.all() for edges, in calls["thin"]) == 1
+        ods, ois, curve = eval_oracle(
+            predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
+        )
+        assert summary.ods == pytest.approx(ods, abs=1e-9)
+        assert summary.ois == pytest.approx(ois, abs=1e-9)
+        for pt, (t, p, r, f) in zip(summary.curve, curve):
+            assert (pt.threshold, pt.precision, pt.recall, pt.fscore) == pytest.approx(
+                (t, p, r, f), abs=1e-9
+            )
+
+    def test_missing_and_empty_maps_make_no_calls(self, monkeypatch):
+        # A slot without a map and a slot whose map fires nothing are scored
+        # as predicting nothing, without binarizing, thinning or matching.
+        first = flat_ring_instance(2, 9, 4, instance_id=1)
+        second = flat_ring_instance(3, 12, 9, instance_id=2)
+        third = flat_ring_instance(1, 6, 13, instance_id=3)
+        image = ImageRecord(
+            image_id=1, height=16, width=16, instances=(first, second, third)
+        )
+        dataset = Dataset(images=(image,), categories={0: "thing"})
+        scored = build_tunnel_target(first, 16, 16).map
+        predictions = {1: {1: scored, 3: GrayMap(np.zeros((16, 16)))}}
+        cfg = EvalConfig()
+        distinct = {binarize(scored, t).bits.tobytes() for t in cfg.thresholds}
+        assert len(distinct) == 2
+
+        calls = count_calls(monkeypatch, pointedge.metrics, "binarize", "thin", "match_instance")
+        summary = evaluate(predictions, dataset, cfg)
+        monkeypatch.undo()
+
+        assert [graymap is scored for graymap, _ in calls["binarize"]] == [True, True]
+        assert len(calls["thin"]) == len(distinct) + len(image.instances)
+        assert len(calls["match_instance"]) == len(distinct)
+        gt = edge_nodes(thin(rasterize_polyline(first, 16, 16)))
+        assert all(np.array_equal(index.nodes, gt) for _, index, _ in calls["match_instance"])
         ods, ois, curve = eval_oracle(
             predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
         )

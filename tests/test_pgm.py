@@ -1,18 +1,11 @@
-"""Tests for binary PGM serialization of gray and bit maps."""
+"""Tests for binary PGM serialization of gray maps."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pointedge import (
-    BitMap,
-    GrayMap,
-    read_bitmap,
-    read_graymap,
-    write_bitmap,
-    write_graymap,
-)
+from pointedge import GrayMap, read_graymap, write_graymap
 
 
 class TestGraymapFormat:
@@ -64,32 +57,11 @@ class TestGraymapFormat:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestBitmapFormat:
-    def test_header_and_bytes(self, tmp_path):
-        bm = BitMap([[1, 0], [0, 1]])
-        path = tmp_path / "b.pgm"
-        write_bitmap(bm, path)
-        assert path.read_bytes() == b"P5\n2 2\n1\n" + bytes([1, 0, 0, 1])
-
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(8)
-        bits = rng.random((9, 6)) < 0.4
-        path = tmp_path / "b.pgm"
-        write_bitmap(BitMap(bits), path)
-        assert (read_bitmap(path).bits == bits).all()
-
-    def test_read_bitmap_requires_maxval_one(self, tmp_path):
-        path = tmp_path / "g.pgm"
-        write_graymap(GrayMap([[0.5]]), path)
-        with pytest.raises(ValueError):
-            read_bitmap(path)
-
-
 class TestReaderRobustness:
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# made by hand\n2 1\n# again\n1\n" + bytes([1, 0]))
-        assert read_bitmap(path).bits.tolist() == [[True, False]]
+        assert read_graymap(path).values.tolist() == [[1.0, 0.0]]
 
     def test_low_maxval_scaling(self, tmp_path):
         path = tmp_path / "d.pgm"
