@@ -14,7 +14,6 @@ from .annotations import (
     Keypoint,
     ParseError,
     parse_dataset,
-    serialize_dataset,
     subsample_keypoints,
 )
 from .kernels import (
@@ -59,8 +58,6 @@ from .raster import (
     GrayMap,
     TunnelTarget,
     build_tunnel_target,
-    mask_to_edge,
-    rasterize_mask,
     rasterize_polyline,
 )
 
@@ -75,7 +72,6 @@ __all__ = [
     "Keypoint",
     "ParseError",
     "parse_dataset",
-    "serialize_dataset",
     "subsample_keypoints",
     # raster
     "TUNNEL_VALUE",
@@ -83,8 +79,6 @@ __all__ = [
     "GrayMap",
     "TunnelTarget",
     "build_tunnel_target",
-    "mask_to_edge",
-    "rasterize_mask",
     "rasterize_polyline",
     # pgm
     "read_graymap",

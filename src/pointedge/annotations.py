@@ -24,7 +24,6 @@ __all__ = [
     "Dataset",
     "ParseError",
     "parse_dataset",
-    "serialize_dataset",
     "subsample_keypoints",
 ]
 
@@ -256,38 +255,6 @@ def parse_dataset(text: str) -> Dataset:
     return Dataset(images=images, categories=categories)
 
 
-def serialize_dataset(dataset: Dataset) -> str:
-    """Serialize a :class:`Dataset` back to the annotation document format.
-
-    ``parse_dataset(serialize_dataset(ds))`` is the identity on valid datasets.
-    """
-    doc = {
-        "images": [
-            {"id": im.image_id, "height": im.height, "width": im.width}
-            for im in dataset.images
-        ],
-        "annotations": [
-            {
-                "id": inst.instance_id,
-                "image_id": im.image_id,
-                "category_id": inst.category_id,
-                "bbox": list(inst.bbox),
-                "segmentation": [
-                    [coord for kp in ring for coord in (kp.x, kp.y)]
-                    for ring in inst.rings
-                ],
-            }
-            for im in dataset.images
-            for inst in im.instances
-        ],
-        "categories": [
-            {"id": cid, "name": dataset.categories[cid]}
-            for cid in sorted(dataset.categories)
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
 def subsample_keypoints(
     inst: InstanceAnnotation, ratio: float, seed: int
 ) -> InstanceAnnotation:
@@ -295,8 +262,9 @@ def subsample_keypoints(
 
     Each ring independently keeps ``ceil(ratio * len(ring))`` keypoints (never
     fewer than 3), chosen uniformly without replacement by a generator derived
-    from ``seed``, the instance id, and the ring index. ``ratio == 1`` returns
-    the input unchanged.
+    from ``seed``, the instance id (modulo 2**64, since the generator takes
+    only non-negative seed material) and the ring index. ``ratio == 1``
+    returns the input unchanged.
     """
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
@@ -309,7 +277,7 @@ def subsample_keypoints(
         if keep >= n:
             rings.append(ring)
             continue
-        rng = np.random.default_rng([seed, inst.instance_id, ring_index])
+        rng = np.random.default_rng([seed, inst.instance_id % 2**64, ring_index])
         idx = np.sort(rng.choice(n, size=keep, replace=False))
         rings.append(tuple(ring[i] for i in idx))
     return InstanceAnnotation(

@@ -77,6 +77,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take only non-negative seed material.
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _ratio(text: str) -> float:
     value = float(text)
     if not (0.0 < value <= 1.0):
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ratio", type=_ratio, default=1.0, help="keypoint keep ratio in (0, 1]"
     )
-    p.add_argument("--seed", type=int, default=0, help="subsampling seed")
+    p.add_argument("--seed", type=_seed, default=0, help="subsampling seed")
     p.set_defaults(func=cmd_make_targets)
 
     p = sub.add_parser(
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "loss-check", help="verify loss gradients against finite differences"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--trials", type=_positive_int, default=20, help="random instances per loss"
     )
@@ -441,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--height", type=_positive_int, default=32)
     p.add_argument("--width", type=_positive_int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=".", help="directory for the run manifest")
     p.set_defaults(func=cmd_demo_forward)
     return parser

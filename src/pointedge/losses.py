@@ -17,7 +17,6 @@ import numpy as np
 from .raster import GrayMap, TunnelTarget
 
 __all__ = [
-    "CLAMP_EPS",
     "FocalConfig",
     "LossResult",
     "UndefinedLossError",
@@ -116,19 +115,20 @@ def _dice_sums(pred, gt) -> tuple[np.ndarray, np.ndarray, float, float]:
     return p, y, float((p * p).sum() + (y * y).sum()), float((p * y).sum())
 
 
-def dice_loss(pred, gt, smooth: float = 0.0) -> LossResult:
-    """Dice overlap loss ``1 - (2<p,y> + s) / (|p|^2 + |y|^2 + s)``.
+def dice_loss(pred, gt) -> LossResult:
+    """Dice overlap loss ``1 - 2<p,y> / (|p|^2 + |y|^2)``, with no smoothing.
 
-    The default ``smooth = 0`` is the exact form; a positive smoothing
-    constant is available for training on instances that may be empty.
+    Raises:
+        UndefinedLossError: prediction and target are both all-zero. The
+            train chain never gets there, since ``dense_head`` outputs lie
+            strictly inside (0, 1).
     """
-    p, y, denom, overlap = _dice_sums(pred, gt)
-    b = denom + smooth
+    p, y, b, overlap = _dice_sums(pred, gt)
     if b == 0.0:
         raise UndefinedLossError(
             "dice loss undefined: prediction and target are both all-zero"
         )
-    a = 2.0 * overlap + smooth
+    a = 2.0 * overlap
     gradient = -2.0 * (y * b - p * a) / (b * b)
     return LossResult(value=1.0 - a / b, gradient=gradient)
 

@@ -28,6 +28,7 @@ __all__ = [
     "PRPoint",
     "EvalSummary",
     "EdgeIndex",
+    "binarize",
     "thin",
     "edge_nodes",
     "index_edges",

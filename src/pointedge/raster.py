@@ -1,13 +1,11 @@
 """Rasterization of keypoint annotations into pixel grids.
 
-Produces binary edge maps (8-connected polyline rasters), penalty-reduced
-"tunnel" training targets quantized to {0, 0.7, 1.0}, filled instance masks,
-and mask-derived edges (inner boundary via a 4-neighborhood Laplacian).
+Produces binary edge maps (8-connected polyline rasters) and penalty-reduced
+"tunnel" training targets quantized to {0, 0.7, 1.0}.
 
 Pixel (x, y) covers the unit square with center (x + 0.5, y + 0.5), and
 annotation coordinates live on the pixel-center lattice: keypoint (2, 2)
-refers to the center of pixel (2, 2). A pixel therefore belongs to a filled
-mask exactly when the lattice point (x, y) lies inside or on the polygon.
+refers to the center of pixel (2, 2) and rounds to that pixel.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ __all__ = [
     "TUNNEL_VALUE",
     "rasterize_polyline",
     "build_tunnel_target",
-    "rasterize_mask",
-    "mask_to_edge",
 ]
 
 TUNNEL_VALUE = 0.7
@@ -72,10 +68,6 @@ class BitMap:
     def count(self) -> int:
         """Number of set pixels."""
         return int(self.bits.sum())
-
-    def to_graymap(self) -> "GrayMap":
-        """Reinterpret set pixels as probability 1.0."""
-        return GrayMap(self.bits.astype(np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,107 +215,3 @@ def build_tunnel_target(
     for px, py in keypoints:
         values[py, px] = 1.0
     return TunnelTarget(map=GrayMap(values), keypoint_count=len(keypoints))
-
-
-def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _segments_cross(p: Keypoint, q: Keypoint, r: Keypoint, s: Keypoint) -> bool:
-    """True when pq and rs cross at a point interior to both segments.
-
-    Shared endpoints and collinear overlaps do not count, so degenerate
-    (zero-area) rings are not flagged.
-    """
-    d1 = _orient(r.x, r.y, s.x, s.y, p.x, p.y)
-    d2 = _orient(r.x, r.y, s.x, s.y, q.x, q.y)
-    d3 = _orient(p.x, p.y, q.x, q.y, r.x, r.y)
-    d4 = _orient(p.x, p.y, q.x, q.y, s.x, s.y)
-    return ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and \
-        ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0
-
-
-def _check_simple(ring: tuple[Keypoint, ...], instance_id: int, ring_index: int) -> None:
-    n = len(ring)
-    segments = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # adjacent through the closing edge
-            if _segments_cross(*segments[i], *segments[j]):
-                raise ValueError(
-                    f"instance {instance_id}: ring {ring_index} is self-intersecting"
-                )
-
-
-def _on_segment_rows(
-    bits: np.ndarray, a: Keypoint, b: Keypoint, height: int, width: int
-) -> None:
-    """Mark lattice points lying exactly on segment ab."""
-    if a.x == b.x and a.y == b.y:
-        if a.x == int(a.x) and a.y == int(a.y):
-            x, y = int(a.x), int(a.y)
-            if 0 <= x < width and 0 <= y < height:
-                bits[y, x] = True
-        return
-    x_lo, x_hi = sorted((a.x, b.x))
-    y_lo, y_hi = sorted((a.y, b.y))
-    for y in range(max(0, int(np.ceil(y_lo))), min(height - 1, int(np.floor(y_hi))) + 1):
-        for x in range(max(0, int(np.ceil(x_lo))), min(width - 1, int(np.floor(x_hi))) + 1):
-            if _orient(a.x, a.y, b.x, b.y, x, y) == 0:
-                bits[y, x] = True
-
-
-def rasterize_mask(inst: InstanceAnnotation, height: int, width: int) -> BitMap:
-    """Fill the instance polygon(s) with an even-odd scanline rule.
-
-    A pixel is filled when its center lies inside the polygon drawn through
-    pixel centers (equivalently, lattice point (x, y) is inside or on the
-    rings as annotated). Even-odd parity across all rings together lets inner
-    rings cut holes while disjoint rings fill independently.
-
-    Raises:
-        ValueError: a ring properly self-intersects.
-    """
-    _check_dims(height, width)
-    for i, ring in enumerate(inst.rings):
-        _check_simple(ring, inst.instance_id, i)
-    bits = np.zeros((height, width), dtype=bool)
-    segments = [
-        (ring[i], ring[(i + 1) % len(ring)])
-        for ring in inst.rings
-        for i in range(len(ring))
-    ]
-    for y in range(height):
-        crossings: list[float] = []
-        for a, b in segments:
-            if a.y == b.y:
-                continue
-            y0, y1 = (a.y, b.y) if a.y < b.y else (b.y, a.y)
-            if y0 <= y < y1:
-                t = (y - a.y) / (b.y - a.y)
-                crossings.append(a.x + t * (b.x - a.x))
-        crossings.sort()
-        for lo, hi in zip(crossings[::2], crossings[1::2]):
-            x_start = max(0, int(np.ceil(lo)))
-            x_stop = min(width, int(np.ceil(hi)))
-            bits[y, x_start:x_stop] = True
-    for a, b in segments:
-        _on_segment_rows(bits, a, b, height, width)
-    return BitMap(bits)
-
-
-def mask_to_edge(mask: BitMap) -> BitMap:
-    """Extract the inner boundary of a binary mask.
-
-    A pixel is an edge pixel when it is set and its 4-neighborhood Laplacian
-    (4 * center minus the sum of the 4 neighbors, zero-padded at borders) is
-    nonzero. Border-touching masks therefore have edges at the image frame.
-    """
-    m = mask.bits.astype(np.int32)
-    lap = 4 * m
-    lap[1:, :] -= m[:-1, :]
-    lap[:-1, :] -= m[1:, :]
-    lap[:, 1:] -= m[:, :-1]
-    lap[:, :-1] -= m[:, 1:]
-    return BitMap(mask.bits & (lap != 0))

@@ -1,13 +1,14 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: matching is
-re-solved by exhaustive search, polygon membership by direct geometric tests,
-the forward kernels by naive loops, and the evaluation curves by a from-scratch
-sweep. Tests compare library outputs against these.
+re-solved by exhaustive search, the forward kernels by naive loops, and the
+evaluation curves by a from-scratch sweep. Tests compare library outputs
+against these.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from functools import lru_cache
 
@@ -131,6 +132,11 @@ def bitmap_from_pixels(height: int, width: int, pixels) -> BitMap:
     for row, col in pixels:
         bits[row, col] = True
     return BitMap(bits)
+
+
+def to_graymap(bitmap: BitMap) -> GrayMap:
+    """Reinterpret set pixels as probability 1.0."""
+    return GrayMap(bitmap.bits.astype(np.float64))
 
 
 def component_count(bits: np.ndarray) -> int:
@@ -277,50 +283,6 @@ def dense_match(gt_nodes, pred_nodes, max_dist: float) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# Polygon membership oracle
-# ---------------------------------------------------------------------------
-
-def _on_any_segment(px: float, py: float, rings) -> bool:
-    for ring in rings:
-        n = len(ring)
-        for i in range(n):
-            ax, ay = ring[i].x, ring[i].y
-            bx, by = ring[(i + 1) % n].x, ring[(i + 1) % n].y
-            cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            if cross != 0.0:
-                continue
-            if min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by):
-                return True
-    return False
-
-
-def point_filled(px: float, py: float, rings) -> bool:
-    """Even-odd membership of lattice point (px, py), boundary inclusive."""
-    if _on_any_segment(px, py, rings):
-        return True
-    inside = False
-    for ring in rings:
-        n = len(ring)
-        for i in range(n):
-            ax, ay = ring[i].x, ring[i].y
-            bx, by = ring[(i + 1) % n].x, ring[(i + 1) % n].y
-            if (ay <= py) == (by <= py):
-                continue
-            t = (py - ay) / (by - ay)
-            if px < ax + t * (bx - ax):
-                inside = not inside
-    return inside
-
-
-def mask_oracle(inst: InstanceAnnotation, height: int, width: int) -> np.ndarray:
-    out = np.zeros((height, width), dtype=bool)
-    for y in range(height):
-        for x in range(width):
-            out[y, x] = point_filled(float(x), float(y), inst.rings)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Kernel oracles
 # ---------------------------------------------------------------------------
 
@@ -424,6 +386,38 @@ def eval_oracle(predictions, dataset: Dataset, thresholds, max_dist_fraction: fl
 # ---------------------------------------------------------------------------
 # Dataset fixtures
 # ---------------------------------------------------------------------------
+
+def serialize_dataset(dataset: Dataset) -> str:
+    """Write a :class:`Dataset` back out as an annotation document.
+
+    ``parse_dataset(serialize_dataset(ds))`` is the identity on valid datasets.
+    """
+    doc = {
+        "images": [
+            {"id": im.image_id, "height": im.height, "width": im.width}
+            for im in dataset.images
+        ],
+        "annotations": [
+            {
+                "id": inst.instance_id,
+                "image_id": im.image_id,
+                "category_id": inst.category_id,
+                "bbox": list(inst.bbox),
+                "segmentation": [
+                    [coord for kp in ring for coord in (kp.x, kp.y)]
+                    for ring in inst.rings
+                ],
+            }
+            for im in dataset.images
+            for inst in im.instances
+        ],
+        "categories": [
+            {"id": cid, "name": dataset.categories[cid]}
+            for cid in sorted(dataset.categories)
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
 
 def two_image_fixture() -> tuple[Dataset, dict[int, dict[int, GrayMap]]]:
     """Two images whose per-image optimal thresholds differ, forcing OIS > ODS.

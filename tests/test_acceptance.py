@@ -34,7 +34,6 @@ from pointedge import (
     penalty_reduced_focal,
     rasterize_polyline,
     scaled_dot_attention,
-    serialize_dataset,
     thin,
     write_graymap,
 )
@@ -50,6 +49,8 @@ from helpers import (
     random_blob,
     random_dataset,
     random_star_instance,
+    serialize_dataset,
+    to_graymap,
     two_image_fixture,
 )
 
@@ -173,7 +174,7 @@ def segment_dataset():
         images.append(
             ImageRecord(image_id=image_id, height=16, width=16, instances=(inst,))
         )
-        exact[image_id] = {1: rasterize_polyline(inst, 16, 16).to_graymap()}
+        exact[image_id] = {1: to_graymap(rasterize_polyline(inst, 16, 16))}
         moved = np.zeros((16, 16))
         moved[row + 8, 2:11] = 1.0
         displaced[image_id] = {1: GrayMap(moved)}

@@ -14,11 +14,10 @@ from pointedge import (
     Keypoint,
     ParseError,
     parse_dataset,
-    serialize_dataset,
     subsample_keypoints,
 )
 
-from helpers import make_instance, ring_of
+from helpers import make_instance, ring_of, serialize_dataset
 
 
 def doc(images, annotations, categories=None):

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from pointedge import GrayMap, parse_dataset, rasterize_polyline, read_graymap, write_graymap
 from pointedge.cli import main
 
+from helpers import to_graymap
+
 ANN_DOC = {
     "images": [
         {"id": 1, "height": 16, "width": 16},
@@ -70,7 +72,7 @@ def write_exact_predictions(pred_dir, ann_path, skip=()):
                 continue
             name = f"{image.image_id}_{inst.instance_id}.pgm"
             edges = rasterize_polyline(inst, image.height, image.width)
-            write_graymap(edges.to_graymap(), pred_dir / name)
+            write_graymap(to_graymap(edges), pred_dir / name)
             entries.append(
                 {
                     "image_id": image.image_id,
@@ -197,6 +199,19 @@ class TestMakeTargets:
         assert err.startswith(f"error: {path}: image 1 (1000000000x1000000000): ")
         assert "allocate" in err
         assert "Traceback" not in err
+
+    def test_negative_instance_id_subsamples(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(ANN_DOC))
+        doc["annotations"][1]["id"] = -5
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["make-targets", str(path), "--out", str(out), "--ratio", "0.5"])
+        assert code == 0, capsys.readouterr().err
+        entries = json.loads((out / "manifest.json").read_text())["entries"]
+        # The octagonal ring, now instance -5, keeps 4 of its 8 keypoints.
+        assert {e["instance_id"]: e["keypoint_count"] for e in entries} == {-5: 4, 1: 3, 3: 3}
+        assert (out / "1_-5.pgm").exists()
 
     @pytest.mark.parametrize("record, key", [(0, "id"), (0, "height"), (1, "width")])
     def test_integer_beyond_64_bits_exits_1(self, tmp_path, capsys, record, key):
@@ -670,6 +685,19 @@ class TestDemoForward:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", ["make-targets", "loss-check", "demo-forward"])
+    def test_negative_seed_exits_1_naming_the_option(
+        self, ann_path, tmp_path, capsys, command
+    ):
+        args = [command]
+        if command == "make-targets":
+            args += [str(ann_path), "--ratio", "0.5"]
+        out = tmp_path / "o"
+        assert main([*args, "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+        assert not out.exists()
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "make-targets" in capsys.readouterr().out

@@ -140,10 +140,6 @@ class TestDiceLoss:
         with pytest.raises(UndefinedLossError):
             dice_loss([[0.0, 0.0]], [[0.0, 0.0]])
 
-    def test_smoothing_defines_the_empty_case(self):
-        res = dice_loss([[0.0]], [[0.0]], smooth=1.0)
-        assert res.value == pytest.approx(0.0, abs=1e-12)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dice_loss([[0.5]], [[1.0, 0.0]])

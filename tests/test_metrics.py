@@ -41,6 +41,7 @@ from helpers import (
     random_blob,
     random_dataset,
     reference_thin,
+    to_graymap,
     two_image_fixture,
 )
 from pointedge import Dataset, ImageRecord
@@ -554,7 +555,7 @@ def exact_prediction_setup():
     image = ImageRecord(image_id=1, height=16, width=16, instances=(inst,))
     dataset = Dataset(images=(image,), categories={0: "thing"})
     edges = rasterize_polyline(inst, 16, 16)
-    predictions = {1: {1: edges.to_graymap()}}
+    predictions = {1: {1: to_graymap(edges)}}
     return dataset, predictions
 
 
@@ -636,7 +637,7 @@ class TestEvaluate:
             image_id=1, height=16, width=16, instances=(second, first)
         )
         categories = {0: "thing"}
-        good = rasterize_polyline(first, 16, 16).to_graymap()
+        good = to_graymap(rasterize_polyline(first, 16, 16))
         noisy = np.zeros((16, 16))
         noisy[9, 4:9] = 0.41  # partial hit on the second segment
         predictions = {1: {1: good, 2: GrayMap(noisy)}}

@@ -1,4 +1,4 @@
-"""Tests for edge rasterization, tunnel targets, masks, and mask-to-edge."""
+"""Tests for the map types, edge rasterization and tunnel targets."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,11 @@ from pointedge import (
     GrayMap,
     TunnelTarget,
     build_tunnel_target,
-    mask_to_edge,
-    rasterize_mask,
     rasterize_polyline,
 )
 
 from helpers import (
     make_instance,
-    mask_oracle,
     random_star_instance,
     square_instance,
 )
@@ -114,10 +111,6 @@ class TestBitMapGrayMap:
         assert gm.values.dtype == np.float64
         assert (gm.values == values).all()
         assert not np.shares_memory(gm.values, values)
-
-    def test_bitmap_to_graymap(self):
-        gm = BitMap([[0, 1]]).to_graymap()
-        assert gm.values.tolist() == [[0.0, 1.0]]
 
 
 class TestRasterizePolyline:
@@ -218,90 +211,9 @@ class TestBuildTunnelTarget:
             TunnelTarget(GrayMap([[0.5, 1.0]]), 1)  # off-grid value
 
 
-class TestRasterizeMask:
-    def test_square_fill_matches_example(self):
-        out = rasterize_mask(square_instance(2, 2, 5), 10, 10)
-        expected = {(y, x) for y in range(2, 8) for x in range(2, 8)}
-        assert pixel_set(out) == expected
-        assert out.count() == 36
-
-    def test_degenerate_ring_empty(self):
-        # A zero-area ring threaded between lattice points has no interior
-        # and touches no pixel sample point.
-        inst = make_instance(((2.5, 3.5), (5.5, 3.5), (4.5, 3.5)))
-        assert rasterize_mask(inst, 8, 8).count() == 0
-
-    def test_two_disjoint_rings_union(self):
-        inst = make_instance(
-            ((1, 1), (1, 3), (3, 3), (3, 1)),
-            ((6, 6), (6, 8), (8, 8), (8, 6)),
-        )
-        left = rasterize_mask(make_instance(((1, 1), (1, 3), (3, 3), (3, 1))), 10, 10)
-        right = rasterize_mask(make_instance(((6, 6), (6, 8), (8, 8), (8, 6))), 10, 10)
-        both = rasterize_mask(inst, 10, 10)
-        assert (both.bits == (left.bits | right.bits)).all()
-
-    def test_self_intersecting_ring_rejected(self):
-        bowtie = make_instance(((0, 0), (4, 4), (4, 0), (0, 4)))
-        with pytest.raises(ValueError):
-            rasterize_mask(bowtie, 8, 8)
-
-    def test_matches_point_in_polygon_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(15):
-            inst = random_star_instance(rng, 14, 14)
-            got = rasterize_mask(inst, 14, 14).bits
-            want = mask_oracle(inst, 14, 14)
-            assert (got == want).all()
-
-    def test_triangle_against_oracle(self):
-        inst = make_instance(((1.5, 1.25), (10.75, 2.5), (5.25, 9.75)))
-        got = rasterize_mask(inst, 12, 12).bits
-        assert (got == mask_oracle(inst, 12, 12)).all()
-
-
-class TestMaskToEdge:
-    def test_empty_mask(self):
-        assert mask_to_edge(BitMap(np.zeros((5, 5), dtype=bool))).count() == 0
-
-    def test_single_pixel(self):
-        bits = np.zeros((5, 5), dtype=bool)
-        bits[2, 3] = True
-        assert pixel_set(mask_to_edge(BitMap(bits))) == {(2, 3)}
-
-    def test_filled_square_perimeter(self):
-        bits = np.zeros((10, 10), dtype=bool)
-        bits[2:8, 2:8] = True
-        edge = mask_to_edge(BitMap(bits))
-        expected = {
-            (y, x)
-            for y in range(2, 8)
-            for x in range(2, 8)
-            if y in (2, 7) or x in (2, 7)
-        }
-        assert pixel_set(edge) == expected
-        assert edge.count() == 20
-
-    def test_edge_inside_mask(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            inst = random_star_instance(rng, 16, 16)
-            mask = rasterize_mask(inst, 16, 16)
-            edge = mask_to_edge(mask)
-            assert (edge.bits <= mask.bits).all()
-
-    def test_border_touching_mask_has_frame_edge(self):
-        bits = np.ones((4, 6), dtype=bool)
-        edge = mask_to_edge(BitMap(bits))
-        # Zero padding outside the image makes the outermost rows/cols edges.
-        assert edge.bits[0].all() and edge.bits[-1].all()
-        assert edge.bits[:, 0].all() and edge.bits[:, -1].all()
-        assert not edge.bits[1:-1, 1:-1].any()
-
-
 def test_rasterize_rejects_bad_dimensions():
     inst = make_instance(((0, 0), (2, 0), (1, 2)))
     with pytest.raises(ValueError):
         rasterize_polyline(inst, 0, 5)
     with pytest.raises(ValueError):
-        rasterize_mask(inst, 5, -1)
+        build_tunnel_target(inst, 5, -1)
