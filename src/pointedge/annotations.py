@@ -264,10 +264,14 @@ def subsample_keypoints(
     fewer than 3), chosen uniformly without replacement by a generator derived
     from ``seed``, the instance id (modulo 2**64, since the generator takes
     only non-negative seed material) and the ring index. ``ratio == 1``
-    returns the input unchanged.
+    returns the input unchanged. A negative ``seed`` is a ``ValueError``.
     """
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
+    if seed < 0:
+        raise ValueError(
+            f"instance {inst.instance_id}: seed must be a non-negative integer, got {seed}"
+        )
     if ratio == 1.0:
         return inst
     rings: list[Ring] = []

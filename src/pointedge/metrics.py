@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from .annotations import Dataset, ImageRecord
@@ -74,10 +73,9 @@ class MatchResult:
     ``matched_pairs`` holds (gt node index, pred node index) pairs, sorted by
     gt index; node indices follow the row-major scan order of
     :func:`edge_nodes`, and each lies in ``[0, gt_total)`` or
-    ``[0, pred_total)``. From :func:`match_instance` they are *an* optimal
-    assignment, or with ``min_distance=False`` *a* maximum matching: where
-    several tie, which one is returned is unspecified, and only the counts
-    enter a score.
+    ``[0, pred_total)``. From :func:`match_instance` they are *a* maximum
+    matching: where several tie, which pairs are chosen is unspecified, and
+    only the counts enter a score.
     """
 
     matched_pairs: tuple[tuple[int, int], ...]
@@ -351,10 +349,8 @@ def index_edges(edges: BitMap) -> EdgeIndex:
     return EdgeIndex(edges.bits.shape, nodes, cKDTree(nodes) if len(nodes) else None)
 
 
-def _candidates(
-    gt: EdgeIndex, pred_xy: np.ndarray, d: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gt index, pred index, distance) of every pair strictly closer than ``d``.
+def _candidates(gt: EdgeIndex, pred_xy: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gt index, pred index) of every pair strictly closer than ``d``.
 
     The trees' radius test is inclusive, so each found pair's distance is
     recomputed from its integer offsets, exactly as ``cdist`` computes it,
@@ -365,79 +361,7 @@ def _candidates(
     offset = gt.nodes[g] - pred_xy[p]
     dist = np.sqrt((offset * offset).sum(axis=1).astype(np.float64))
     keep = dist < d
-    return g[keep], p[keep], dist[keep]
-
-
-def _components(g: np.ndarray, p: np.ndarray, n_gt: int, n_pred: int) -> tuple[int, np.ndarray]:
-    """Connected components of the candidate graph: their count, and the label
-    of every node, gt nodes first and then pred nodes."""
-    n = n_gt + n_pred
-    # Both directions of every pair, so the strong components are the
-    # connected components and scipy needs no transposed copy.
-    src = np.concatenate([g, p + n_gt])
-    order = np.argsort(src, kind="stable")
-    dst = np.concatenate([p + n_gt, g])[order].astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    graph = csr_matrix((np.ones(len(dst)), dst, indptr), shape=(n, n))
-    return connected_components(graph, directed=True, connection="strong")
-
-
-def _members(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes grouped by component label, in index order within each group.
-
-    Returns the grouped nodes, the start of each label's group (``count + 1``
-    entries, the last one the end), and each node's place in its group.
-    """
-    nodes = np.argsort(labels, kind="stable")
-    start = np.searchsorted(labels[nodes], np.arange(count + 1))
-    rank = np.empty_like(nodes)
-    rank[nodes] = np.arange(len(nodes)) - start[labels[nodes]]
-    return nodes, start, rank
-
-
-def _assign(
-    g: np.ndarray, p: np.ndarray, dist: np.ndarray, n_gt: int, n_pred: int, d: float
-) -> list[tuple[int, int]]:
-    """Optimal one-to-one pairs among the candidate pairs ``(g, p)``, by gt index.
-
-    The candidate graph splits into connected components that share no node,
-    so the optimum is the union of each component's optimum. A component
-    with one candidate pair is that pair; any other gets a dense cost matrix
-    over its own nodes and one ``linear_sum_assignment``.
-    """
-    # The grouping below is done once for all components, so that the loop
-    # allocates little more than each component's matrix.
-    count, labels = _components(g, p, n_gt, n_pred)
-    comp = labels[g]
-    lone = np.bincount(comp)[comp] == 1
-    matched_g, matched_p = [g[lone]], [p[lone]]
-    shared = np.flatnonzero(~lone)
-    shared = shared[np.argsort(comp[shared], kind="stable")]
-    g, p, dist, comp = g[shared], p[shared], dist[shared], comp[shared]
-    gt_nodes, gt_start, gt_rank = _members(labels[:n_gt], count)
-    pred_nodes, pred_start, pred_rank = _members(labels[n_gt:], count)
-    row_of, col_of = gt_rank[g], pred_rank[p]
-    bounds = np.append(np.flatnonzero(np.diff(comp, prepend=-1)), len(comp))
-    comps = comp[bounds[:-1]]
-    spans = np.stack([
-        gt_start[comps], gt_start[comps + 1], pred_start[comps], pred_start[comps + 1],
-        bounds[:-1], bounds[1:],
-    ], axis=1)
-    for g0, g1, p0, p1, lo, hi in spans.tolist():
-        # An unmatched-pair cost above any feasible total distance of this
-        # component makes the assignment maximize cardinality before
-        # minimizing distance.
-        big = (min(g1 - g0, p1 - p0) + 1.0) * max(d, 1.0)
-        cost = np.full((g1 - g0, p1 - p0), big)
-        cost[row_of[lo:hi], col_of[lo:hi]] = dist[lo:hi]
-        r, c = linear_sum_assignment(cost)
-        kept = cost[r, c] < d
-        matched_g.append(gt_nodes[g0:g1][r[kept]])
-        matched_p.append(pred_nodes[p0:p1][c[kept]])
-    mg, mp = np.concatenate(matched_g), np.concatenate(matched_p)
-    order = np.argsort(mg)
-    return list(zip(mg[order].tolist(), mp[order].tolist()))
+    return g[keep], p[keep]
 
 
 def _maximum_matching(
@@ -464,32 +388,20 @@ def _maximum_matching(
 
 
 def match_instance(
-    pred: BitMap,
-    gt: BitMap | EdgeIndex,
-    cfg: EvalConfig = EvalConfig(),
-    *,
-    min_distance: bool = True,
+    pred: BitMap, gt: BitMap | EdgeIndex, cfg: EvalConfig = EvalConfig()
 ) -> MatchResult:
-    """Optimally match predicted to ground-truth edge pixels.
+    """Match predicted to ground-truth edge pixels, as many as possible.
 
     Candidate pairs are those with euclidean distance strictly below
-    ``cfg.max_distance(H, W)``. Among all one-to-one assignments the result
-    maximizes the number of matched pairs first and the total matched
-    distance (minimized) second; both maps are expected to be thinned.
-    With ``min_distance=False`` it is any maximum matching of the candidate
-    pairs instead (see :func:`_maximum_matching`): ``matched`` and the
-    totals are the same, only which pairs are chosen may differ, and the
-    distances are never weighed. Scores need only the count, so the
-    evaluation sweep matches that way.
+    ``cfg.max_distance(H, W)``; both maps are expected to be thinned. The
+    result is *a* maximum one-to-one matching of the candidate pairs (see
+    :func:`_maximum_matching`): its count is fixed, but which pairs are
+    chosen among ties is unspecified, and distances are never weighed.
 
     ``gt`` is a map, indexed on the spot, or an :class:`EdgeIndex` built
     once by :func:`index_edges` for a ground truth matched many times; the
     result is the same either way. Candidates come from a KD-tree radius
-    search over the two node lists. For the min-distance pairs they form a
-    bipartite graph, and each of its connected components is solved on its
-    own (see :func:`_assign`), so nodes with no candidate never enter a
-    matrix. Memory is O(candidate pairs + the square of the largest
-    component), or O(candidate pairs) for a maximum matching, never
+    search over the two node lists, so memory is O(candidate pairs), never
     ``n_gt x n_pred``.
     """
     if isinstance(gt, BitMap):
@@ -502,12 +414,8 @@ def match_instance(
     n_gt, n_pred = len(gt.nodes), len(pred_xy)
     if n_gt == 0 or n_pred == 0:
         return MatchResult((), pred_total=n_pred, gt_total=n_gt)
-    d = cfg.max_distance(*pred.bits.shape)
-    g, p, dist = _candidates(gt, pred_xy, d)
-    if min_distance:
-        pairs = _assign(g, p, dist, n_gt, n_pred, d)
-    else:
-        pairs = _maximum_matching(g, p, n_gt, n_pred)
+    g, p = _candidates(gt, pred_xy, cfg.max_distance(*pred.bits.shape))
+    pairs = _maximum_matching(g, p, n_gt, n_pred)
     return MatchResult(tuple(pairs), pred_total=n_pred, gt_total=n_gt)
 
 
@@ -563,8 +471,8 @@ def _slot_counts(
     missing map, the row is (0, 0, GT nodes) and nothing is called. A map
     that fires on every pixel is the whole frame, whose thinning depends
     only on its shape: ``full_frames``, keyed by (H, W), keeps it. A row
-    needs only how many nodes match, so each map is matched with
-    ``min_distance=False``: one maximum matching, no distance assignment.
+    needs only how many nodes match, which is the size of the maximum
+    matching :func:`match_instance` returns, whichever pairs it chose.
     """
     counts = np.tile([0, 0, len(gt.nodes)], (len(cfg.thresholds), 1))
     if graymap is None:
@@ -585,7 +493,7 @@ def _slot_counts(
                 edges = full_frames[gt.shape]
             else:
                 edges = full_frames[gt.shape] = thin(bits)
-            result = match_instance(edges, gt, cfg, min_distance=False)
+            result = match_instance(edges, gt, cfg)
             row = (result.matched, result.pred_total, result.gt_total)
             previous = n
         counts[i] = row

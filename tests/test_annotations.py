@@ -315,6 +315,14 @@ class TestSubsampleKeypoints:
         with pytest.raises(ValueError):
             subsample_keypoints(self.ten_ring(), ratio, seed=0)
 
+    def test_negative_seed_names_the_seed_and_instance(self):
+        six = tuple((8 + 4 * math.cos(k * math.pi / 3), 8 + 4 * math.sin(k * math.pi / 3)) for k in range(6))
+        inst = make_instance(six, instance_id=7)
+        with pytest.raises(
+            ValueError, match=r"^instance 7: seed must be a non-negative integer, got -1$"
+        ):
+            subsample_keypoints(inst, 0.5, seed=-1)
+
     def test_rings_sampled_independently(self):
         two_rings = make_instance(
             tuple((4 + 3 * math.cos(k * math.pi / 4), 4 + 3 * math.sin(k * math.pi / 4)) for k in range(8)),

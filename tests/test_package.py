@@ -1,8 +1,15 @@
-"""The package's public names are exactly those its modules export."""
+"""The package's public names are exactly those its modules export, and
+importing the command line loads no scipy subpackage it does not use."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pointedge
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MODULES = ("annotations", "kernels", "losses", "metrics", "pgm", "raster")
 
@@ -18,3 +25,15 @@ def test_package_exports_the_union_of_its_modules_exports():
     assert set(pointedge.__all__) == set(owners) | {"__version__"}
     for name, module in owners.items():
         assert getattr(pointedge, name) is getattr(module, name), name
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # Matching takes one Hopcroft-Karp call from scipy.sparse.csgraph; no
+    # command needs scipy.optimize, whose import adds about 8 MiB of RSS.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, pointedge.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
