@@ -16,7 +16,6 @@ from typing import Mapping
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
-from scipy.spatial import cKDTree
 
 from .annotations import Dataset, ImageRecord
 from .raster import BitMap, GrayMap, rasterize_polyline
@@ -133,10 +132,11 @@ def _codes(a: np.ndarray) -> np.ndarray:
     """Each pixel's 8-bit neighbour code; outside the grid counts as unset.
 
     Bit k is the k-th neighbour in the order N, NE, E, SE, S, SW, W, NW,
-    with north meaning row - 1; the offsets index the zero-padded grid.
+    with north meaning row - 1; the offsets index a zero-bordered copy.
     """
     h, w = a.shape
-    z = np.pad(a, 1).view(np.uint8)
+    z = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    z[1:-1, 1:-1] = a
     codes = np.zeros((h, w), dtype=np.uint8)
     offsets = ((0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0))
     for k, (dy, dx) in enumerate(offsets):
@@ -197,7 +197,7 @@ def _unset(
     """
     a[gone] = False
     near = (gone[:, None] + offsets).ravel()
-    np.subtract.at(codes, near, np.tile(_OPPOSITE_BITS, len(gone)))
+    np.subtract.at(codes, near, np.broadcast_to(_OPPOSITE_BITS, (len(gone), 8)).ravel())
     for mark in marks:
         mark[near] = True
 
@@ -287,18 +287,19 @@ def thin(edges: BitMap) -> BitMap:
     is a fixed point of the procedure (so ``thin`` is idempotent).
 
     Each step costs in proportion to what changed, not to the frame. The
-    map is padded once and its neighbour codes are built once, then kept up
-    to date: unsetting a pixel clears the matching bit in each neighbour's
-    code. Each subiteration table has a work-list mask, at first every set
-    pixel; a subiteration looks up only the pixels marked for its table and
-    clears those marks, and every deletion marks its eight neighbours for
-    both tables, since no other pixel's code has changed. Block breaking
-    recomputes the simple and block masks only around each deletion. The
-    deletions, and so the output, are exactly those of recomputing every
-    code over the whole frame at every step.
+    map is copied once into a zero-bordered grid and its neighbour codes
+    are built once, then kept up to date: unsetting a pixel clears the
+    matching bit in each neighbour's code. Each subiteration table has a
+    work-list mask, at first every set pixel; a subiteration looks up only
+    the pixels marked for its table and clears those marks, and every
+    deletion marks its eight neighbours for both tables, since no other
+    pixel's code has changed. Block breaking recomputes the simple and
+    block masks only around each deletion. The deletions, and so the
+    output, are exactly those of recomputing every code over the whole
+    frame at every step.
 
     Only the bounding box of the set pixels is thinned: outside it every
-    pixel is unset, which the zero padding around the box reproduces, and
+    pixel is unset, which the zero border around the box reproduces, and
     row-major order within the box is row-major order in the frame.
     """
     out = np.zeros_like(edges.bits)
@@ -307,7 +308,9 @@ def thin(edges: BitMap) -> BitMap:
         return _owned(out)
     cols = np.flatnonzero(edges.bits.any(axis=0))
     box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    a = np.pad(edges.bits[box], 1)  # every neighbour of a set pixel is in the grid
+    # A zero border: every neighbour of a set pixel is in the grid.
+    a = np.zeros((rows[-1] - rows[0] + 3, cols[-1] - cols[0] + 3), dtype=bool)
+    a[1:-1, 1:-1] = edges.bits[box]
     codes = _codes(a)
     offsets = _neighbour_offsets(a.shape[1])
     marks = (a.ravel().copy(), a.ravel().copy())
@@ -332,55 +335,67 @@ def edge_nodes(edges: BitMap) -> np.ndarray:
 class EdgeIndex:
     """A map's edge nodes, prepared once to be matched against many maps.
 
-    ``shape`` is the map's (H, W), ``nodes`` its read-only :func:`edge_nodes`
-    array, and ``tree`` a ``cKDTree`` over those nodes, or None when the map
-    has no set pixel. Build one with :func:`index_edges`.
+    ``shape`` is the map's (H, W) and ``nodes`` its read-only
+    :func:`edge_nodes` array. Build one with :func:`index_edges`.
     """
 
     shape: tuple[int, int]
     nodes: np.ndarray
-    tree: cKDTree | None
 
 
 def index_edges(edges: BitMap) -> EdgeIndex:
-    """The :class:`EdgeIndex` of a (thinned) map."""
+    """The :class:`EdgeIndex` of a (thinned) map: its nodes, taken once."""
     nodes = edge_nodes(edges)
     nodes.flags.writeable = False
-    return EdgeIndex(edges.bits.shape, nodes, cKDTree(nodes) if len(nodes) else None)
+    return EdgeIndex(edges.bits.shape, nodes)
 
 
-def _candidates(gt: EdgeIndex, pred_xy: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """(gt index, pred index) of every pair strictly closer than ``d``.
+def _candidates(
+    gt: EdgeIndex, pred_flat: np.ndarray, d: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate graph as CSR ``(indptr, indices)``: row i lists, in
+    ascending order, the pred nodes strictly closer than ``d`` to gt node i.
 
-    The trees' radius test is inclusive, so each found pair's distance is
-    recomputed from its integer offsets, exactly as ``cdist`` computes it,
-    and pairs at ``d`` are dropped.
+    ``pred_flat`` holds the prediction's sorted flat pixel indices. For each
+    row offset ``dy``, ``reach`` is the largest ``dx`` whose distance passes
+    the same float test ``cdist`` makes, so pairs at exactly ``d`` never
+    match. Within one row a gt node's candidates are one contiguous run of
+    ``pred_flat``, found by two binary searches; rows outside the frame give
+    empty runs. Memory is O(gt nodes x rows within ``d`` + candidate pairs).
     """
-    found = gt.tree.sparse_distance_matrix(cKDTree(pred_xy), d, output_type="ndarray")
-    g, p = found["i"], found["j"]
-    offset = gt.nodes[g] - pred_xy[p]
-    dist = np.sqrt((offset * offset).sum(axis=1).astype(np.float64))
-    keep = dist < d
-    return g[keep], p[keep]
+    height, width = gt.shape
+    # No row offset reaches past the frame, and every dy < d keeps dx = 0.
+    dy = np.arange(min(math.ceil(d), height))
+    # Start one past the float estimate; step back until the exact test holds.
+    dx = np.floor(np.sqrt(d * d - dy * dy)).astype(np.intp) + 1
+    while (outside := np.sqrt(dy * dy + dx * dx) >= d).any():
+        dx -= outside
+    rows = np.concatenate((-dy[:0:-1], dy))
+    reach = np.concatenate((dx[:0:-1], dx))
+    gy, gx = gt.nodes[:, :1], gt.nodes[:, 1:]
+    base = (gy + rows) * width
+    start = np.searchsorted(pred_flat, base + np.maximum(gx - reach, 0)).ravel()
+    stop = np.searchsorted(pred_flat, base + np.minimum(gx + reach, width - 1) + 1).ravel()
+    count = stop - start
+    ends = np.cumsum(count)  # runs ordered by gt node, then by image row
+    indptr = np.zeros(len(gt.nodes) + 1, dtype=np.int32)
+    indptr[1:] = ends[len(rows) - 1::len(rows)]
+    indices = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
+    return indptr, indices.astype(np.int32)
 
 
 def _maximum_matching(
-    g: np.ndarray, p: np.ndarray, n_gt: int, n_pred: int
+    indptr: np.ndarray, indices: np.ndarray, n_pred: int
 ) -> list[tuple[int, int]]:
-    """A maximum set of one-to-one pairs among the candidate pairs ``(g, p)``,
-    by gt index.
+    """A maximum set of one-to-one pairs in the CSR candidate graph, by gt index.
 
-    The candidate graph becomes a CSR matrix, gt nodes as rows and pred
-    nodes as columns, for one Hopcroft-Karp call. Its column indices are
-    sorted within each row, and flagged so: on the eval-noisy benchmark's
-    graphs scipy's matching took 8 to 13 times as long with each row's
-    indices reversed.
+    The graph, gt nodes as rows and pred nodes as columns, goes to one
+    Hopcroft-Karp call. Its column indices come sorted within each row, and
+    are flagged so: on the eval-noisy benchmark's graphs scipy's matching
+    took 8 to 13 times as long with each row's indices reversed.
     """
-    order = np.argsort(g * n_pred + p)
-    indptr = np.zeros(n_gt + 1, dtype=np.int32)
-    np.cumsum(np.bincount(g, minlength=n_gt), out=indptr[1:])
-    ones = np.ones(len(order), dtype=np.int8)
-    graph = csr_matrix((ones, p[order].astype(np.int32), indptr), shape=(n_gt, n_pred))
+    ones = np.ones(len(indices), dtype=np.int8)
+    graph = csr_matrix((ones, indices, indptr), shape=(len(indptr) - 1, n_pred))
     graph.has_sorted_indices = True
     col = maximum_bipartite_matching(graph, perm_type="column")
     rows = np.flatnonzero(col >= 0)
@@ -400,8 +415,9 @@ def match_instance(
 
     ``gt`` is a map, indexed on the spot, or an :class:`EdgeIndex` built
     once by :func:`index_edges` for a ground truth matched many times; the
-    result is the same either way. Candidates come from a KD-tree radius
-    search over the two node lists, so memory is O(candidate pairs), never
+    result is the same either way. Candidates come from binary searches of
+    the prediction's flat pixel indices, one per gt node and image row
+    within reach (see :func:`_candidates`), so memory never grows as
     ``n_gt x n_pred``.
     """
     if isinstance(gt, BitMap):
@@ -410,12 +426,12 @@ def match_instance(
         raise ValueError(
             f"prediction shape {pred.bits.shape} != ground truth shape {gt.shape}"
         )
-    pred_xy = edge_nodes(pred)
-    n_gt, n_pred = len(gt.nodes), len(pred_xy)
+    pred_flat = np.flatnonzero(pred.bits)
+    n_gt, n_pred = len(gt.nodes), len(pred_flat)
     if n_gt == 0 or n_pred == 0:
         return MatchResult((), pred_total=n_pred, gt_total=n_gt)
-    g, p = _candidates(gt, pred_xy, cfg.max_distance(*pred.bits.shape))
-    pairs = _maximum_matching(g, p, n_gt, n_pred)
+    indptr, indices = _candidates(gt, pred_flat, cfg.max_distance(*pred.bits.shape))
+    pairs = _maximum_matching(indptr, indices, n_pred)
     return MatchResult(tuple(pairs), pred_total=n_pred, gt_total=n_gt)
 
 

@@ -345,6 +345,81 @@ class TestMatchInstance:
         assert_optimal_match(pred, gt, cfg, dense_match)
         assert match_both(pred, gt, cfg).matched_pairs == ((1, 0), (3, 2))
 
+    def test_candidates_are_the_pairs_strictly_within_d(self):
+        # The row-range search against an exhaustive distance test, on maps
+        # with nodes along all four borders, for d = 0.5, 1.5, 5 (exactly:
+        # 3-4-5 pairs sit on it), 25 and 49.5 (past the frame's diagonal).
+        rng = np.random.default_rng(609)
+        for fraction in (0.01, 0.03, 0.1, 0.5, 0.99):
+            d = EvalConfig(max_dist_fraction=fraction).max_distance(30, 40)
+            for _ in range(4):
+                gt_bits = rng.random((30, 40)) < 0.05
+                pred_bits = rng.random((30, 40)) < 0.1
+                for bits in (gt_bits, pred_bits):
+                    bits[[0, -1], :] |= rng.random((2, 40)) < 0.3
+                    bits[:, [0, -1]] |= rng.random((30, 2)) < 0.3
+                gxy, pxy = np.argwhere(gt_bits), np.argwhere(pred_bits)
+                want = [
+                    (i, j)
+                    for i, g in enumerate(gxy.tolist())
+                    for j, p in enumerate(pxy.tolist())
+                    if math.dist(g, p) < d
+                ]
+                indptr, indices = pointedge.metrics._candidates(
+                    index_edges(BitMap(gt_bits)), np.flatnonzero(pred_bits), d
+                )
+                rows = np.repeat(np.arange(len(gxy)), np.diff(indptr))
+                assert list(zip(rows.tolist(), indices.tolist())) == want
+
+    def test_candidates_drop_a_pair_exactly_at_d(self):
+        gt = index_edges(bitmap_from_pixels(30, 40, [(10, 10)]))
+        # Offsets (3, 4), (-3, -4), (0, 5) and (5, 0) lie at exactly 5;
+        # (3, 3), the third node in row-major order, lies inside.
+        pred = bitmap_from_pixels(30, 40, [(13, 14), (7, 6), (10, 15), (15, 10), (13, 13)])
+        indptr, indices = pointedge.metrics._candidates(gt, np.flatnonzero(pred.bits), 5.0)
+        assert indptr.tolist() == [0, 1]
+        assert indices.tolist() == [2]
+
+    def test_row_ends_are_not_neighbours(self):
+        # (r, W-1) and (r+1, 0) are adjacent flat indices, W-1 pixels apart.
+        cfg = EvalConfig(max_dist_fraction=0.1)  # d = 5.0 on 30x40
+        gt = bitmap_from_pixels(30, 40, [(4, 39), (10, 0), (20, 39)])
+        pred = bitmap_from_pixels(30, 40, [(5, 0), (9, 39), (21, 0)])
+        assert_optimal_match(pred, gt, cfg, brute_force_match)
+        assert match_both(pred, gt, cfg).matched == 0
+        # Along one border column, nodes do match.
+        pred = bitmap_from_pixels(30, 40, [(5, 0), (6, 39), (9, 39), (12, 1)])
+        assert_optimal_match(pred, gt, cfg, brute_force_match)
+        assert match_both(pred, gt, cfg).matched_pairs == ((0, 1), (1, 3))
+
+    def test_below_one_pixel_only_coincident_nodes_match(self):
+        cfg = EvalConfig(max_dist_fraction=0.015)  # d = 0.75 on 30x40
+        gt = bitmap_from_pixels(30, 40, [(0, 0), (0, 39), (5, 5), (12, 12), (29, 20)])
+        pred = bitmap_from_pixels(30, 40, [(0, 0), (1, 39), (5, 6), (13, 13), (29, 20)])
+        assert_optimal_match(pred, gt, cfg, brute_force_match)
+        assert match_both(pred, gt, cfg).matched_pairs == ((0, 0), (4, 4))
+
+    def test_reach_past_the_frame_makes_every_pair_a_candidate(self):
+        cfg = EvalConfig(max_dist_fraction=0.99)  # d = 49.5 on 30x40
+        gt = bitmap_from_pixels(30, 40, [(0, 0), (0, 39), (29, 39)])
+        pred = bitmap_from_pixels(30, 40, [(0, 1), (15, 20), (29, 0), (29, 39)])
+        indptr, _ = pointedge.metrics._candidates(
+            index_edges(gt), np.flatnonzero(pred.bits), cfg.max_distance(30, 40)
+        )
+        assert np.diff(indptr).tolist() == [4, 4, 4]
+        assert_optimal_match(pred, gt, cfg, dense_match)
+        assert match_both(pred, gt, cfg).matched == 3
+
+    def test_nodes_on_the_top_and_bottom_rows(self):
+        cfg = EvalConfig(max_dist_fraction=0.1)  # d = 5.0 on 30x40
+        gt = bitmap_from_pixels(
+            30, 40, [(0, c) for c in range(0, 40, 3)] + [(29, c) for c in range(1, 40, 3)]
+        )
+        pred = bitmap_from_pixels(
+            30, 40, [(r, c) for r in (0, 3, 4, 25, 26, 29) for c in range(0, 40, 7)]
+        )
+        assert assert_optimal_match(pred, gt, cfg, dense_match) == (27, 36)
+
     @settings(max_examples=200, deadline=None)
     @given(clustered_nodes())
     def test_matches_brute_force_on_clustered_nodes(self, case):
@@ -374,6 +449,25 @@ class TestMatchInstance:
         assert results[1] == result
         assert (result.gt_total, result.pred_total) == (600, 100_000)
         assert result.matched == 600  # every GT node has ~38 candidates
+
+    def test_long_reach_stays_within_memory_cap(self):
+        # --dist-fraction 0.5 gives d ~ 289 on 321x481. The row ranges take
+        # 600 GT nodes x 579 image rows; every offset within d for each GT
+        # node would be 600 x ~262k entries.
+        h, w = 321, 481
+        yy, xx = np.mgrid[0:h, 0:w]
+        gt = index_edges(thin(BitMap(np.abs(np.hypot(yy - 160, xx - 240) - 106) < 1.0)))
+        flat = np.zeros(h * w, dtype=bool)
+        flat[np.random.default_rng(6).choice(h * w, size=200, replace=False)] = True
+        pred = BitMap(flat.reshape(h, w))
+        tracemalloc.start()
+        try:
+            result = match_instance(pred, gt, EvalConfig(max_dist_fraction=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert (result.gt_total, result.pred_total, result.matched) == (600, 200, 200)
 
     def test_count_graph_has_sorted_indices(self, monkeypatch):
         # scipy's Hopcroft-Karp is several times slower on rows whose
@@ -413,10 +507,9 @@ class TestMatchInstance:
         assert index.shape == (6, 7)
         assert index.nodes.tolist() == [[0, 5], [4, 0], [4, 1]]
         assert not index.nodes.flags.writeable
-        assert index.tree.n == 3
         empty = index_edges(BitMap(np.zeros((6, 7), dtype=bool)))
+        assert empty.shape == (6, 7)
         assert empty.nodes.shape == (0, 2)
-        assert empty.tree is None
 
     def test_match_result_validation(self):
         with pytest.raises(ValueError):
@@ -813,16 +906,16 @@ class TestEvaluate:
             )
 
     def test_each_ground_truth_indexed_once(self, monkeypatch):
-        # Edge nodes are taken once per predicted map matched and once per
-        # ground-truth slot, not twice per match.
+        # Each ground-truth slot is indexed once, however many predicted
+        # maps are matched against it.
         dataset, predictions = random_dataset(np.random.default_rng(8), n_images=3)
-        calls = count_calls(monkeypatch, pointedge.metrics, "edge_nodes", "match_instance")
+        calls = count_calls(monkeypatch, pointedge.metrics, "index_edges", "match_instance")
         evaluate(predictions, dataset)
         monkeypatch.undo()
 
         slots = sum(len(image.instances) for image in dataset.images)
         assert len(calls["match_instance"]) > slots
-        assert len(calls["edge_nodes"]) == len(calls["match_instance"]) + slots
+        assert len(calls["index_edges"]) == slots
         assert all(isinstance(gt, EdgeIndex) for _, gt, _ in calls["match_instance"])
 
     @pytest.mark.parametrize("source", ["two_image_fixture", 0, 1, 2, 3])
