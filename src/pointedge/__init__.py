@@ -1,6 +1,6 @@
 """Point-supervised instance edge detection toolkit.
 
-A numpy/scipy reference implementation of the computable core of
+A numpy reference implementation of the computable core of
 point-supervised instance edge detection: annotation geometry, tunnel-target
 rasterization, the training losses with analytical gradients, reference
 forward kernels for the query-based decoder, and the ODS/OIS evaluation

@@ -469,11 +469,17 @@ class TestMatchInstance:
         assert peak < 32 * 2**20
         assert (result.gt_total, result.pred_total, result.matched) == (600, 200, 200)
 
-    def test_count_graph_has_sorted_indices(self, monkeypatch):
-        # scipy's Hopcroft-Karp is several times slower on rows whose
-        # indices are not sorted; the flag must be set, and true.
+    def test_candidates_are_sorted_within_each_row(self, monkeypatch):
+        # The greedy pass gives each gt node its first free candidate, in
+        # the ascending order _candidates lists them.
         rng = np.random.default_rng(608)
-        calls = count_calls(monkeypatch, pointedge.metrics, "maximum_bipartite_matching")
+        graphs, real = [], pointedge.metrics._candidates
+
+        def recording(*args):
+            graphs.append(real(*args))
+            return graphs[-1]
+
+        monkeypatch.setattr(pointedge.metrics, "_candidates", recording)
         cfg = EvalConfig(max_dist_fraction=0.03)  # d ~ 3.46 on 64x96
         for _ in range(6):
             bits = np.zeros((64, 96), dtype=bool)
@@ -483,14 +489,12 @@ class TestMatchInstance:
             match_instance(thin(BitMap(bits | speckle)), thin(BitMap(bits)), cfg)
         dataset, predictions = random_dataset(rng)
         evaluate(predictions, dataset)
-        graphs = [graph for graph, in calls["maximum_bipartite_matching"]]
         assert len(graphs) > 6
-        assert max(np.diff(graph.indptr).max() for graph in graphs) > 1
-        for graph in graphs:
-            assert graph.has_sorted_indices
-            rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+        assert max(np.diff(indptr).max() for indptr, _ in graphs) > 1
+        for indptr, indices in graphs:
+            rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
             same_row = rows[1:] == rows[:-1]
-            assert (np.diff(graph.indices)[same_row] > 0).all()
+            assert (np.diff(indices)[same_row] > 0).all()
 
     def test_shape_mismatch(self):
         pred = BitMap(np.zeros((4, 4), dtype=bool))
@@ -524,6 +528,69 @@ class TestMatchInstance:
         with pytest.raises(ValueError, match="sorted by gt index"):
             MatchResult(((1, 0), (0, 1)), pred_total=3, gt_total=3)
         assert MatchResult(((0, 1), (2, 0)), pred_total=2, gt_total=3).matched == 2
+
+
+def csr_graph(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(indptr, indices)`` of gt rows of pred candidates."""
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
+    return indptr, np.array([p for row in rows for p in row], dtype=np.int32)
+
+
+def maximum_matching(rows: list[list[int]], n_pred: int) -> list[int]:
+    """``_maximum_matching`` of a graph given as rows, checked to be a
+    one-to-one matching of candidate edges. Returns each gt node's mate."""
+    gt_mate = pointedge.metrics._maximum_matching(*csr_graph(rows), n_pred)
+    assert len(gt_mate) == len(rows)
+    matched = [(g, p) for g, p in enumerate(gt_mate) if p >= 0]
+    assert all(p in rows[g] for g, p in matched)
+    assert len({p for _, p in matched}) == len(matched)
+    return gt_mate
+
+
+class TestMaximumMatching:
+    def test_augments_where_greedy_falls_short(self):
+        # Greedy gives gt0 its first candidate p0 and leaves gt1 free; the
+        # search from p1 reroutes gt0 to p1.
+        assert maximum_matching([[0, 1], [0]], 2) == [1, 0]
+
+    def test_long_augmenting_path(self):
+        # gt i reaches p i and p i+1, the last gt only p0: greedy strands it,
+        # and the one augmenting path runs through every node.
+        n = 50
+        rows = [[i, i + 1] for i in range(n - 1)] + [[0]]
+        assert maximum_matching(rows, n) == list(range(1, n)) + [0]
+
+    def test_free_nodes_on_both_sides_without_an_augmenting_path(self):
+        # p1 and p2 stay free and reach only gt0, matched to p0; gt2 stays
+        # free and reaches only p3, matched to gt1. Both searches fail: the
+        # first marks gt0 dead and the second skips it.
+        rows = [[0, 1, 2], [3], [3]]
+        assert maximum_matching(rows, 5) == [0, 3, -1]
+
+    def test_dead_tree_stays_dead_after_later_augmentations(self):
+        # The search from p1 fails on the tree {gt0}; the search from p3
+        # then augments through gt1 and gt2, which lie outside that tree.
+        rows = [[0, 1], [2, 3], [2]]
+        assert maximum_matching(rows, 4) == [0, 3, 2]
+
+    def test_empty_rows_and_isolated_pred_nodes(self):
+        assert maximum_matching([[], [1], []], 3) == [-1, 1, -1]
+        assert maximum_matching([[], []], 4) == [-1, -1]
+
+    def test_size_equals_scipy_on_seeded_random_graphs(self):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
+        rng = np.random.default_rng(616)
+        for trial in range(300):
+            n_gt, n_pred = (int(v) for v in rng.integers(1, 40, size=2))
+            density = float(rng.choice([0.02, 0.05, 0.1, 0.3]))
+            adjacency = rng.random((n_gt, n_pred)) < density
+            rows = [np.flatnonzero(row).tolist() for row in adjacency]
+            gt_mate = maximum_matching(rows, n_pred)
+            graph = csr_matrix(adjacency.astype(np.int8))
+            want = int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+            assert sum(p >= 0 for p in gt_mate) == want, trial
 
 
 class TestImagePR:

@@ -1,5 +1,5 @@
 """The package's public names are exactly those its modules export, and
-importing the command line loads no scipy subpackage it does not use."""
+importing the command line loads no scipy module."""
 
 import importlib
 import os
@@ -27,24 +27,15 @@ def test_package_exports_the_union_of_its_modules_exports():
         assert getattr(pointedge, name) is getattr(module, name), name
 
 
-def loaded_by_cli_import(module: str) -> bool:
-    """Whether ``import pointedge.cli`` in a fresh interpreter loads ``module``."""
+def test_cli_import_loads_no_scipy():
+    # The runtime needs numpy alone; scipy is a test dependency.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = f"import sys, pointedge.cli; print({module!r} in sys.modules)"
+    code = (
+        "import sys, pointedge.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip() == "True"
-
-
-def test_cli_import_does_not_load_scipy_optimize():
-    # Matching takes one Hopcroft-Karp call from scipy.sparse.csgraph; no
-    # command needs scipy.optimize, whose import adds about 8 MiB of RSS.
-    assert not loaded_by_cli_import("scipy.optimize")
-
-
-def test_cli_import_does_not_load_scipy_spatial():
-    # Match candidates come from binary searches of flat pixel indices; no
-    # command needs scipy.spatial.
-    assert not loaded_by_cli_import("scipy.spatial")
+    assert out.stdout.strip() == "[]"
