@@ -35,8 +35,20 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 
 
 def _sigmoid_open(x: np.ndarray) -> np.ndarray:
-    out = 1.0 / (1.0 + np.exp(-x))
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    """``clip(1 / (1 + exp(-x)))`` computed in place in one fresh, read-only array.
+
+    A logit below about -709 overflows ``exp`` to inf and the sigmoid to 0,
+    which the clip lifts to ``_SIG_LO``; the overflow is expected, so it is
+    not reported.
+    """
+    out = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    out.flags.writeable = False
+    return out
 
 
 def _matrix(x, name: str) -> np.ndarray:
@@ -154,6 +166,8 @@ def scaled_dot_attention(
         raise ValueError(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"{k.shape[0]} keys but {v.shape[0]} values")
+    if k.shape[0] < 1:
+        raise ValueError("attention needs at least one key, got 0")
     scores = q @ k.T / np.sqrt(q.shape[1])
     scores -= scores.max(axis=1, keepdims=True)
     weights = np.exp(scores)
@@ -177,13 +191,15 @@ def dense_head(coefs: CoefSet, features: FeatureMap) -> list[GrayMap]:
 
     Each query's coefficient row acts as a 1x1 convolution over the shared
     feature tensor: ``O_i[y, x] = sigmoid(sum_c coefs[i, c] * F[c, y, x])``.
+    All queries are one matrix product over the flattened channels,
+    ``coefs (n x c) @ F (c x h*w)``; each row of logits then becomes its
+    map's own array, which the map keeps without a copy.
     """
-    if coefs.f != features.channels:
-        raise ValueError(
-            f"coefficient width {coefs.f} != feature channels {features.channels}"
-        )
-    logits = np.einsum("nc,chw->nhw", coefs.data, features.data)
-    return [GrayMap(_sigmoid_open(m)) for m in logits]
+    c, h, w = features.data.shape
+    if coefs.f != c:
+        raise ValueError(f"coefficient width {coefs.f} != feature channels {c}")
+    logits = coefs.data @ features.data.reshape(c, h * w)
+    return [GrayMap(_sigmoid_open(row.reshape(h, w))) for row in logits]
 
 
 def default_schedule() -> DecoderSchedule:

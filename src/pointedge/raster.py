@@ -125,11 +125,15 @@ class TunnelTarget:
     def __post_init__(self) -> None:
         if self.keypoint_count < 1:
             raise ValueError("keypoint_count must be >= 1")
-        values = np.unique(self.map.values)
-        allowed = {0.0, TUNNEL_VALUE, 1.0}
-        if not set(values.tolist()) <= allowed:
-            raise ValueError(f"tunnel target values must be in {allowed}, got {values}")
-        ones = int((self.map.values == 1.0).sum())
+        v = self.map.values
+        # Elementwise tests, not np.unique: sorting the frame is slower and
+        # loads numpy.ma. The sorted values are taken only for the message.
+        if not ((v == 0.0) | (v == TUNNEL_VALUE) | (v == 1.0)).all():
+            allowed = {0.0, TUNNEL_VALUE, 1.0}
+            raise ValueError(
+                f"tunnel target values must be in {allowed}, got {np.unique(v)}"
+            )
+        ones = int((v == 1.0).sum())
         if ones != self.keypoint_count:
             raise ValueError(
                 f"{ones} pixels at 1.0 but keypoint_count={self.keypoint_count}"

@@ -715,8 +715,10 @@ class TestEntryPoint:
         capsys.readouterr()
 
     def test_module_invocation(self):
+        root = Path(__file__).resolve().parent.parent
         proc = subprocess.run(
             [sys.executable, "-m", "pointedge", "--help"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
             capture_output=True,
             text=True,
         )

@@ -1,5 +1,7 @@
 """Tests for the reference forward kernels and the attention cost model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from pointedge import (
     dense_head,
     scaled_dot_attention,
 )
+
+from pointedge.kernels import _SIG_HI, _SIG_LO, _sigmoid_open
 
 from helpers import attention_oracle, dense_head_oracle
 
@@ -73,6 +77,10 @@ class TestScaledDotAttention:
         with pytest.raises(ValueError):
             scaled_dot_attention(np.ones((2, 3)), np.ones((2, 3)), np.ones((5, 3)))
 
+    def test_zero_keys_rejected_by_name(self):
+        with pytest.raises(ValueError, match="at least one key"):
+            scaled_dot_attention(np.ones((2, 3)), np.ones((0, 3)), np.ones((0, 3)))
+
 
 class TestCoefHead:
     def test_zero_projection_gives_half(self):
@@ -85,6 +93,14 @@ class TestCoefHead:
         coefs = coef_head(queries, np.zeros((3, 2)), np.full(2, 50.0))
         assert (coefs.data > 1.0 - 1e-9).all()
         assert (coefs.data < 1.0).all()
+
+    @pytest.mark.parametrize("logit", [-1000.0, 1000.0])
+    def test_saturated_logits_stay_open_without_warnings(self, logit):
+        queries = QuerySet(np.zeros((2, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coefs = coef_head(queries, np.zeros((3, 2)), np.full(2, logit))
+        assert ((coefs.data > 0.0) & (coefs.data < 1.0)).all()
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(4)
@@ -130,6 +146,38 @@ class TestDenseHead:
         for i, m in enumerate(maps):
             assert np.abs(m.values - want[i]).max() <= 1e-10
 
+    def test_matches_triple_loop_oracle_on_non_square_frame(self):
+        # 5 x 7 features: a reshape that swapped height and width would fail.
+        rng = np.random.default_rng(10)
+        coefs = CoefSet(rng.uniform(0.01, 0.99, size=(3, 4)))
+        features = FeatureMap(rng.standard_normal((4, 5, 7)))
+        maps = dense_head(coefs, features)
+        want = dense_head_oracle(coefs.data, features.data)
+        assert len(maps) == 3
+        for i, m in enumerate(maps):
+            assert m.values.shape == (5, 7)
+            assert np.abs(m.values - want[i]).max() <= 1e-10
+
+    def test_each_map_owns_a_read_only_array(self):
+        rng = np.random.default_rng(11)
+        coefs = CoefSet(rng.uniform(0.01, 0.99, size=(3, 2)))
+        maps = dense_head(coefs, FeatureMap(rng.standard_normal((2, 4, 6))))
+        for m in maps:
+            assert not m.values.flags.writeable
+            assert m.values.base is None
+        for i, a in enumerate(maps):
+            for b in maps[i + 1:]:
+                assert not np.shares_memory(a.values, b.values)
+
+    @pytest.mark.parametrize("scale", [-1000.0, 1000.0])
+    def test_saturated_logits_stay_open_without_warnings(self, scale):
+        coefs = CoefSet([[0.5]])
+        features = FeatureMap(np.full((1, 2, 3), 2.0 * scale))  # logits = scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            maps = dense_head(coefs, features)
+        assert ((maps[0].values > 0.0) & (maps[0].values < 1.0)).all()
+
     def test_output_open_interval(self):
         rng = np.random.default_rng(8)
         coefs = CoefSet(rng.uniform(0.5, 0.99, size=(2, 2)))
@@ -147,6 +195,16 @@ class TestDenseHead:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
             dense_head(CoefSet([[0.5, 0.5]]), FeatureMap(np.ones((3, 2, 2))))
+
+
+def test_sigmoid_is_bit_identical_to_the_clipped_textbook_formula():
+    x = np.array([0.0, 1e-300, 36.7, 709.0, 745.0, 1000.0])
+    x = np.concatenate([x, -x])
+    with np.errstate(over="ignore"):
+        want = np.clip(1.0 / (1.0 + np.exp(-x)), _SIG_LO, _SIG_HI)
+    got = _sigmoid_open(x)
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable and got.base is None
 
 
 class TestSchedule:

@@ -1,7 +1,9 @@
-"""The package's public names are exactly those its modules export, and
-importing the command line loads no scipy module."""
+"""The package's public names are exactly those its modules export,
+importing the command line loads no scipy module, and make-targets loads no
+numpy.ma."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -56,3 +58,35 @@ def test_cli_import_does_not_load_scipy_spatial():
     # Match candidates come from binary searches of flat pixel indices; no
     # command needs scipy.spatial.
     assert "scipy.spatial" not in scipy_modules_loaded_by_cli_import()
+
+
+def test_make_targets_loads_no_numpy_ma(tmp_path):
+    # The tunnel-target check tests values elementwise; np.unique, which
+    # loads numpy.ma, runs only to word an error.
+    doc = {
+        "images": [{"id": 1, "width": 40, "height": 30}],
+        "annotations": [
+            {
+                "id": 1,
+                "image_id": 1,
+                "category_id": 0,
+                "bbox": [5.0, 5.0, 20.0, 15.0],
+                "segmentation": [[5, 5, 25, 5, 25, 20, 5, 20]],
+            }
+        ],
+        "categories": [{"id": 0, "name": "thing"}],
+    }
+    ann = tmp_path / "annotations.json"
+    ann.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys; from pointedge.cli import main; "
+        f"code = main(['make-targets', {str(ann)!r}, '--out', {str(tmp_path / 'out')!r}, "
+        "'--ratio', '0.5']); "
+        "print(code, sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"

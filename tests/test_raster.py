@@ -210,6 +210,13 @@ class TestBuildTunnelTarget:
         with pytest.raises(ValueError):
             TunnelTarget(GrayMap([[0.5, 1.0]]), 1)  # off-grid value
 
+    def test_off_grid_message_lists_the_sorted_distinct_values(self):
+        off_grid = GrayMap([[0.5, 1.0, 0.0, 0.5]])
+        message = "tunnel target values must be in {0.0, 0.7, 1.0}, got [0.  0.5 1. ]"
+        with pytest.raises(ValueError) as info:
+            TunnelTarget(off_grid, 1)
+        assert str(info.value) == message
+
 
 def test_rasterize_rejects_bad_dimensions():
     inst = make_instance(((0, 0), (2, 0), (1, 2)))
