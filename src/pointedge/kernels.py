@@ -34,21 +34,25 @@ _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 
+# Pixel columns per block of the dense head's matrix product: the logits
+# block for 16 queries is 512 KiB, never the whole (n, h*w) frame.
+_DENSE_BLOCK = 4096
+
+
 def _sigmoid_open(x: np.ndarray) -> np.ndarray:
-    """``clip(1 / (1 + exp(-x)))`` computed in place in one fresh, read-only array.
+    """Overwrite ``x`` with ``clip(1 / (1 + exp(-x)))`` and return it.
 
     A logit below about -709 overflows ``exp`` to inf and the sigmoid to 0,
     which the clip lifts to ``_SIG_LO``; the overflow is expected, so it is
     not reported.
     """
-    out = np.negative(x)
+    np.negative(x, out=x)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    np.clip(out, _SIG_LO, _SIG_HI, out=out)
-    out.flags.writeable = False
-    return out
+        np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+    np.clip(x, _SIG_LO, _SIG_HI, out=x)
+    return x
 
 
 def _matrix(x, name: str) -> np.ndarray:
@@ -192,14 +196,26 @@ def dense_head(coefs: CoefSet, features: FeatureMap) -> list[GrayMap]:
     Each query's coefficient row acts as a 1x1 convolution over the shared
     feature tensor: ``O_i[y, x] = sigmoid(sum_c coefs[i, c] * F[c, y, x])``.
     All queries are one matrix product over the flattened channels,
-    ``coefs (n x c) @ F (c x h*w)``; each row of logits then becomes its
-    map's own array, which the map keeps without a copy.
+    ``coefs (n x c) @ F (c x h*w)``, taken in blocks of ``_DENSE_BLOCK``
+    pixel columns: each block's logits go through the sigmoid in place and
+    each row is copied into its query's map, so no ``n x h*w`` logits array
+    is ever built. Every map is its own read-only array, which ``GrayMap``
+    keeps without a copy.
     """
     c, h, w = features.data.shape
     if coefs.f != c:
         raise ValueError(f"coefficient width {coefs.f} != feature channels {c}")
-    logits = coefs.data @ features.data.reshape(c, h * w)
-    return [GrayMap(_sigmoid_open(row.reshape(h, w))) for row in logits]
+    flat = features.data.reshape(c, h * w)
+    maps = [np.empty((h, w)) for _ in range(coefs.n)]
+    rows = [m.reshape(-1) for m in maps]
+    for start in range(0, h * w, _DENSE_BLOCK):
+        cols = slice(start, start + _DENSE_BLOCK)
+        block = _sigmoid_open(coefs.data @ flat[:, cols])
+        for row, values in zip(rows, block):
+            row[cols] = values
+    for m in maps:
+        m.flags.writeable = False
+    return [GrayMap(m) for m in maps]
 
 
 def default_schedule() -> DecoderSchedule:

@@ -64,7 +64,9 @@ class LossResult:
 
 
 def _grid(x) -> np.ndarray:
-    values = x.values if isinstance(x, GrayMap) else np.asarray(x, dtype=np.float64)
+    if isinstance(x, GrayMap):
+        return x.values  # checked finite when the map was built
+    values = np.asarray(x, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError("grid values must be finite")
     return values
@@ -79,30 +81,56 @@ def penalty_reduced_focal(
     branch ``Y (1-p)^alpha log p`` (tunnel pixels at 0.7 are therefore
     down-weighted positives); the rest take ``(1-Y)^beta p^alpha log(1-p)``.
     The sum is negated and divided by the target's keypoint count.
+
+    A tunnel target is zero almost everywhere, and at a zero pixel the
+    negative branch's weight ``(1-0)^beta`` is exactly 1 (``gamma > 0``, so
+    such a pixel is never positive). Every pixel's term and gradient are
+    therefore first computed as if its target were 0, over the whole frame;
+    only the nonzero target pixels are then recomputed with both branches
+    in full and overwritten. Each pixel gets the same floating-point result
+    as the dense two-branch formula, and the sum runs over the same array.
     """
     p_raw = _grid(pred)
     y = target.map.values
     if p_raw.shape != y.shape:
         raise ValueError(f"prediction shape {p_raw.shape} != target shape {y.shape}")
     n = target.keypoint_count
-    clamped = (p_raw < CLAMP_EPS) | (p_raw > 1.0 - CLAMP_EPS)
-    p = np.clip(p_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    # C order, so that ravel() below is a view that takes the fix-up writes.
+    p = np.ascontiguousarray(np.clip(p_raw, CLAMP_EPS, 1.0 - CLAMP_EPS))
+    clamped = p != p_raw  # the clip moved exactly the pixels outside its range
+    alpha = cfg.alpha
 
-    positive = y >= cfg.gamma
-    log_p = np.log(p)
-    log_1p = np.log1p(-p)
-    pos_term = y * (1.0 - p) ** cfg.alpha * log_p
-    neg_term = (1.0 - y) ** cfg.beta * p ** cfg.alpha * log_1p
-    value = -float(np.where(positive, pos_term, neg_term).sum()) / n
+    log_1p = np.negative(p)
+    np.log1p(log_1p, out=log_1p)
+    p_alpha = p ** alpha
+    # Negative branch at Y = 0: alpha p^(alpha-1) log(1-p) - p^alpha / (1-p).
+    gradient = p ** (alpha - 1.0)
+    gradient *= alpha
+    gradient *= log_1p
+    ratio = 1.0 - p
+    np.divide(p_alpha, ratio, out=ratio)
+    gradient -= ratio
+    term = p_alpha
+    term *= log_1p  # p^alpha log(1-p)
 
-    pos_grad = y * (
-        (1.0 - p) ** cfg.alpha / p
-        - cfg.alpha * (1.0 - p) ** (cfg.alpha - 1.0) * log_p
+    idx = np.flatnonzero(y)
+    yv, pv, lv = y.ravel()[idx], p.ravel()[idx], log_1p.ravel()[idx]
+    log_p = np.log(pv)
+    pos_term = yv * (1.0 - pv) ** alpha * log_p
+    neg_term = (1.0 - yv) ** cfg.beta * pv ** alpha * lv
+    pos_grad = yv * (
+        (1.0 - pv) ** alpha / pv - alpha * (1.0 - pv) ** (alpha - 1.0) * log_p
     )
-    neg_grad = (1.0 - y) ** cfg.beta * (
-        cfg.alpha * p ** (cfg.alpha - 1.0) * log_1p - p ** cfg.alpha / (1.0 - p)
+    neg_grad = (1.0 - yv) ** cfg.beta * (
+        alpha * pv ** (alpha - 1.0) * lv - pv ** alpha / (1.0 - pv)
     )
-    gradient = -np.where(positive, pos_grad, neg_grad) / n
+    positive = yv >= cfg.gamma
+    term.ravel()[idx] = np.where(positive, pos_term, neg_term)
+    gradient.ravel()[idx] = np.where(positive, pos_grad, neg_grad)
+
+    value = -float(term.sum()) / n
+    np.negative(gradient, out=gradient)
+    gradient /= n
     gradient[clamped] = 0.0
     return LossResult(value=value, gradient=gradient)
 
@@ -129,7 +157,10 @@ def dice_loss(pred, gt) -> LossResult:
             "dice loss undefined: prediction and target are both all-zero"
         )
     a = 2.0 * overlap
-    gradient = -2.0 * (y * b - p * a) / (b * b)
+    gradient = y * b  # -2 (y b - p a) / b^2, in the same operation order
+    gradient -= p * a
+    gradient *= -2.0
+    gradient /= b * b
     return LossResult(value=1.0 - a / b, gradient=gradient)
 
 

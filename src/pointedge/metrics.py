@@ -392,13 +392,13 @@ def _maximum_matching(
     """A maximum one-to-one matching of the CSR candidate graph: the pred
     node each gt node is matched to, or -1.
 
-    A greedy pass first gives each gt node, in index order, its first free
-    candidate. Breadth-first augmenting paths then grow from each free pred
-    node with candidates, over the transposed graph; once every such root
-    has been searched, no augmenting path is left, so the matching is
-    maximum (Berge). A search that reaches no free gt node has grown a
-    Hungarian tree, whose gt nodes lie on no later augmenting path: they
-    are marked dead and never entered again, so failed searches cost
+    A greedy pass first gives each gt node with candidates, in index order,
+    its first free candidate. Breadth-first augmenting paths then grow from
+    each free pred node with candidates, over the transposed graph; once
+    every such root has been searched, no augmenting path is left, so the
+    matching is maximum (Berge). A search that reaches no free gt node has
+    grown a Hungarian tree, whose gt nodes lie on no later augmenting path:
+    they are marked dead and never entered again, so failed searches cost
     O(E) in all. Each successful search costs at most O(E), so the worst
     case is about V x E, where each node's degree is bounded by the pixels
     in a disc of radius ``d``. The search runs from the pred side because
@@ -409,7 +409,7 @@ def _maximum_matching(
     n_gt = len(indptr) - 1
     bounds, adjacent = indptr.tolist(), indices.tolist()
     gt_mate, pred_mate = [-1] * n_gt, [-1] * n_pred
-    for g in range(n_gt):
+    for g in np.flatnonzero(np.diff(indptr)).tolist():  # gt nodes with candidates
         for p in adjacent[bounds[g]:bounds[g + 1]]:
             if pred_mate[p] < 0:
                 pred_mate[p], gt_mate[g] = g, p

@@ -283,6 +283,42 @@ def dense_match(gt_nodes, pred_nodes, max_dist: float) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
+# Loss oracle
+# ---------------------------------------------------------------------------
+
+def focal_oracle(pred, target, cfg) -> tuple[float, np.ndarray]:
+    """The penalty-reduced focal loss by its dense two-branch formula.
+
+    Both branches, their gradients and the positive mask are evaluated over
+    every pixel and selected with ``np.where``; returns ``(value, gradient)``.
+    ``pred`` is a 2-D float array, ``target`` a ``TunnelTarget``.
+    """
+    from pointedge.losses import CLAMP_EPS
+
+    p_raw = np.asarray(pred, dtype=np.float64)
+    y = target.map.values
+    n = target.keypoint_count
+    clamped = (p_raw < CLAMP_EPS) | (p_raw > 1.0 - CLAMP_EPS)
+    p = np.clip(p_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    positive = y >= cfg.gamma
+    log_p = np.log(p)
+    log_1p = np.log1p(-p)
+    pos_term = y * (1.0 - p) ** cfg.alpha * log_p
+    neg_term = (1.0 - y) ** cfg.beta * p ** cfg.alpha * log_1p
+    value = -float(np.where(positive, pos_term, neg_term).sum()) / n
+    pos_grad = y * (
+        (1.0 - p) ** cfg.alpha / p
+        - cfg.alpha * (1.0 - p) ** (cfg.alpha - 1.0) * log_p
+    )
+    neg_grad = (1.0 - y) ** cfg.beta * (
+        cfg.alpha * p ** (cfg.alpha - 1.0) * log_1p - p ** cfg.alpha / (1.0 - p)
+    )
+    gradient = -np.where(positive, pos_grad, neg_grad) / n
+    gradient[clamped] = 0.0
+    return value, gradient
+
+
+# ---------------------------------------------------------------------------
 # Kernel oracles
 # ---------------------------------------------------------------------------
 

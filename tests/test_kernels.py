@@ -1,5 +1,6 @@
 """Tests for the reference forward kernels and the attention cost model."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from pointedge import (
     scaled_dot_attention,
 )
 
-from pointedge.kernels import _SIG_HI, _SIG_LO, _sigmoid_open
+from pointedge.kernels import _DENSE_BLOCK, _SIG_HI, _SIG_LO, _sigmoid_open
 
 from helpers import attention_oracle, dense_head_oracle
 
@@ -158,6 +159,34 @@ class TestDenseHead:
             assert m.values.shape == (5, 7)
             assert np.abs(m.values - want[i]).max() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(5, 7), (8, _DENSE_BLOCK // 8), (1, 2 * _DENSE_BLOCK + 1)],
+        ids=["below-one-block", "one-block", "one-past-whole-blocks"],
+    )
+    def test_matches_triple_loop_oracle_across_block_edges(self, shape):
+        rng = np.random.default_rng(13)
+        coefs = CoefSet(rng.uniform(0.01, 0.99, size=(2, 3)))
+        features = FeatureMap(rng.standard_normal((3, *shape)))
+        maps = dense_head(coefs, features)
+        want = dense_head_oracle(coefs.data, features.data)
+        for i, m in enumerate(maps):
+            assert m.values.shape == shape
+            assert np.abs(m.values - want[i]).max() <= 1e-10
+
+    def test_builds_no_frame_sized_logits(self):
+        # Logits for all 8 queries at once would take 2.5 MiB.
+        rng = np.random.default_rng(14)
+        coefs = CoefSet(rng.uniform(0.01, 0.99, size=(8, 4)))
+        features = FeatureMap(rng.standard_normal((4, 128, 320)))
+        tracemalloc.start()
+        try:
+            maps = dense_head(coefs, features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(m.values.nbytes for m in maps) + 2 * 2**20
+
     def test_each_map_owns_a_read_only_array(self):
         rng = np.random.default_rng(11)
         coefs = CoefSet(rng.uniform(0.01, 0.99, size=(3, 2)))
@@ -202,9 +231,9 @@ def test_sigmoid_is_bit_identical_to_the_clipped_textbook_formula():
     x = np.concatenate([x, -x])
     with np.errstate(over="ignore"):
         want = np.clip(1.0 / (1.0 + np.exp(-x)), _SIG_LO, _SIG_HI)
-    got = _sigmoid_open(x)
+    got = x.copy()
+    assert _sigmoid_open(got) is got  # computed in place
     assert np.array_equal(got, want)
-    assert not got.flags.writeable and got.base is None
 
 
 class TestSchedule:

@@ -18,6 +18,18 @@ from pointedge import (
     penalty_reduced_focal,
 )
 
+from helpers import focal_oracle
+
+# The default, gamma 1 (tunnel pixels take the negative branch), a
+# non-integer alpha, alpha = beta = 0 (powers of 0 and -1) and gamma 0.5.
+FOCAL_CONFIGS = [
+    FocalConfig(),
+    FocalConfig(gamma=1.0),
+    FocalConfig(alpha=1.5, beta=3.0),
+    FocalConfig(alpha=0.0, beta=0.0),
+    FocalConfig(alpha=3.0, gamma=0.5),
+]
+
 
 def target_from(values, keypoint_count=None) -> TunnelTarget:
     arr = np.asarray(values, dtype=np.float64)
@@ -91,6 +103,35 @@ class TestPenaltyReducedFocal:
         with pytest.raises(ValueError):
             penalty_reduced_focal([[0.5]], target_from([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("cfg", FOCAL_CONFIGS, ids=repr)
+    def test_bit_identical_to_the_dense_formula(self, cfg):
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            h, w = (int(v) for v in rng.integers(2, 40, size=2))
+            u = rng.random((h, w))
+            values = np.where(u < 0.08, TUNNEL_VALUE, 0.0)
+            values[u < 0.03] = 1.0
+            if trial % 4 == 0:
+                values[values == TUNNEL_VALUE] = 0.0  # no tunnel pixels
+            values[0, 0], values[-1, -1] = 1.0, TUNNEL_VALUE
+            pred = rng.random((h, w))
+            pred[rng.random((h, w)) < 0.05] = 0.0
+            pred[rng.random((h, w)) < 0.05] = 1.0
+            pred[-1, -1] = (0.0, 1.0, 1e-9)[trial % 3]  # a clamped tunnel pixel
+            target = target_from(values)
+            want_value, want_gradient = focal_oracle(pred, target, cfg)
+            for given in (pred, pred.tolist(), GrayMap(pred)):
+                res = penalty_reduced_focal(given, target, cfg)
+                assert res.value == want_value
+                assert np.array_equal(res.gradient, want_gradient)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_rejected(self, bad):
+        target = target_from([[1.0, 0.0]])
+        for pred in ([[0.5, bad]], np.array([[0.5, bad]])):
+            with pytest.raises(ValueError, match="grid values must be finite"):
+                penalty_reduced_focal(pred, target)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -149,6 +190,15 @@ class TestDiceGrad:
     def test_zero_at_perfect_binary_prediction(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert np.abs(dice_loss(y, y).gradient).max() == 0.0
+
+    def test_bit_identical_to_the_textbook_formula(self):
+        rng = np.random.default_rng(19)
+        p = rng.uniform(0.0, 1.0, size=(7, 9))
+        y = (rng.random((7, 9)) < 0.3).astype(float)
+        b = float((p * p).sum() + (y * y).sum())
+        a = 2.0 * float((p * y).sum())
+        want = -2.0 * (y * b - p * a) / (b * b)
+        assert np.array_equal(dice_loss(GrayMap(p), GrayMap(y)).gradient, want)
 
     def test_zero_when_gt_empty(self):
         grad = dice_loss([[0.2, 0.8]], [[0.0, 0.0]]).gradient
