@@ -219,6 +219,64 @@ def reference_thin(bits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Raster oracles
+# ---------------------------------------------------------------------------
+
+def _oracle_pixel(kp: Keypoint, height: int, width: int) -> tuple[int, int]:
+    # Round half up, then clip to the frame.
+    px = min(width - 1, max(0, int(np.floor(kp.x + 0.5))))
+    py = min(height - 1, max(0, int(np.floor(kp.y + 0.5))))
+    return px, py
+
+
+def polyline_oracle(inst: InstanceAnnotation, height: int, width: int) -> np.ndarray:
+    """Every ring's closed Bresenham polyline, drawn into a full-frame bool grid."""
+    bits = np.zeros((height, width), dtype=bool)
+    for ring in inst.rings:
+        pixels = [_oracle_pixel(kp, height, width) for kp in ring]
+        for (x0, y0), (x1, y1) in zip(pixels, pixels[1:] + pixels[:1]):
+            dx, dy = abs(x1 - x0), -abs(y1 - y0)
+            sx, sy = (1 if x0 < x1 else -1), (1 if y0 < y1 else -1)
+            err, x, y = dx + dy, x0, y0
+            while True:
+                bits[y, x] = True
+                if x == x1 and y == y1:
+                    break
+                e2 = 2 * err
+                if e2 >= dy:
+                    err += dy
+                    x += sx
+                if e2 <= dx:
+                    err += dx
+                    y += sy
+    return bits
+
+
+def tunnel_target_oracle(
+    inst: InstanceAnnotation, height: int, width: int
+) -> tuple[np.ndarray, int]:
+    """The tunnel target built over the whole frame: ``(values, keypoint_count)``.
+
+    The full-frame polyline is dilated by a 3x3 box through a zero-padded
+    copy, every dilated pixel becomes 0.7 through ``np.where``, and every
+    distinct keypoint pixel is then set to 1.0.
+    """
+    from pointedge import TUNNEL_VALUE
+
+    keypoints = {_oracle_pixel(kp, height, width) for kp in inst.all_keypoints()}
+    edges = polyline_oracle(inst, height, width)
+    padded = np.pad(edges, 1)
+    dilated = np.zeros_like(edges)
+    for dy in range(3):
+        for dx in range(3):
+            dilated |= padded[dy:dy + height, dx:dx + width]
+    values = np.where(dilated, TUNNEL_VALUE, 0.0)
+    for px, py in keypoints:
+        values[py, px] = 1.0
+    return values, len(keypoints)
+
+
+# ---------------------------------------------------------------------------
 # Matching oracle
 # ---------------------------------------------------------------------------
 

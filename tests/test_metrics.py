@@ -27,7 +27,9 @@ from pointedge import (
     index_edges,
     match_instance,
     rasterize_polyline,
+    read_graymap,
     thin,
+    write_graymap,
 )
 
 from helpers import (
@@ -662,6 +664,35 @@ class TestBinarize:
             assert np.array_equal(out, (values >= threshold) & (values > 0.0))
 
 
+    @pytest.mark.parametrize("maxval", [1, 2, 3, 7, 255, 1000, 4095, 65535])
+    def test_sample_maps_cut_where_their_float_copies_do(self, tmp_path, maxval):
+        # Every sample value, at thresholds on, just below and just above
+        # each level, and at the sweep's and the edge cases' thresholds.
+        samples = np.arange(maxval + 1).reshape(1, -1)
+        dtype = ">u2" if maxval > 255 else np.uint8
+        path = tmp_path / "s.pgm"
+        path.write_bytes(
+            f"P5\n{maxval + 1} 1\n{maxval}\n".encode("ascii") + samples.astype(dtype).tobytes()
+        )
+        read = read_graymap(path)
+        floats = GrayMap(samples / maxval)
+        rng = np.random.default_rng(maxval)
+        ks = np.arange(maxval + 1) if maxval <= 4095 else np.unique(
+            np.concatenate((np.arange(50), maxval - np.arange(50), rng.integers(0, maxval, 400)))
+        )
+        levels = ks / maxval
+        thresholds = [
+            *EvalConfig().thresholds,
+            *levels, *np.nextafter(levels, -np.inf), *np.nextafter(levels, np.inf),
+            0.0, -0.5, 5e-324, 1.0, 1.5, np.nan,
+        ]
+        for t in thresholds:
+            t = float(t)
+            expected = binarize(floats, t).bits
+            assert np.array_equal(binarize(read, t).bits, expected), t
+            assert np.array_equal(expected, (floats.values >= t) & (floats.values > 0.0)), t
+
+
 class TestEvalConfig:
     def test_defaults(self):
         cfg = EvalConfig()
@@ -704,7 +735,51 @@ def exact_prediction_setup():
     return dataset, predictions
 
 
+def pgm_copies(predictions, tmp_path, maxval: int):
+    """Each map written as a PGM of ``maxval`` and read back."""
+    copies = {}
+    for image_id, inst_maps in predictions.items():
+        copies[image_id] = {}
+        for instance_id, graymap in inst_maps.items():
+            path = tmp_path / f"{maxval}_{image_id}_{instance_id}.pgm"
+            if maxval == 65535:
+                write_graymap(graymap, path)
+            else:
+                samples = np.rint(graymap.values * maxval).astype(np.uint8)
+                header = f"P5\n{graymap.width} {graymap.height}\n{maxval}\n"
+                path.write_bytes(header.encode("ascii") + samples.tobytes())
+            copies[image_id][instance_id] = read_graymap(path)
+    return copies
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("seed", [3, 11, 23])
+    def test_pgm_read_maps_score_as_their_float_copies(self, tmp_path, seed, maxval):
+        dataset, predictions = random_dataset(np.random.default_rng(seed), n_images=4)
+        read = pgm_copies(predictions, tmp_path, maxval)
+        floats = {
+            image_id: {i: GrayMap(np.array(m.values)) for i, m in maps.items()}
+            for image_id, maps in read.items()
+        }
+        cfg = EvalConfig()
+        summary = evaluate(read, dataset, cfg)
+        assert summary == evaluate(floats, dataset, cfg)
+        ods, ois, curve = eval_oracle(floats, dataset, cfg.thresholds, cfg.max_dist_fraction)
+        assert summary.ods == pytest.approx(ods, abs=1e-9)
+        assert summary.ois == pytest.approx(ois, abs=1e-9)
+
+    def test_pgm_read_two_image_fixture(self, tmp_path):
+        dataset, predictions = two_image_fixture()
+        read = pgm_copies(predictions, tmp_path, 65535)
+        floats = {
+            image_id: {i: GrayMap(np.array(m.values)) for i, m in maps.items()}
+            for image_id, maps in read.items()
+        }
+        summary = evaluate(read, dataset)
+        assert summary == evaluate(floats, dataset)
+        assert summary.ois > summary.ods
+
     def test_exact_predictions_score_one(self):
         dataset, predictions = exact_prediction_setup()
         summary = evaluate(predictions, dataset)

@@ -49,6 +49,20 @@ class TestGraymapFormat:
         with pytest.raises(ValueError):
             gm.values[0, 0] = 0.0
 
+    def test_bytes_are_the_rounded_16_bit_samples(self, tmp_path):
+        # Half-way points round to even, as np.rint does.
+        rng = np.random.default_rng(19)
+        k = rng.integers(0, 65535, size=40)
+        halves = np.concatenate(((k + 0.5) / 65535, [0.5, 0.25, 0.75, 1 / 131070]))
+        values = np.concatenate(
+            (halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1.0),
+             rng.random(104), [0.0, 1.0, 5e-324, 1.0 - 2.0**-53])
+        ).reshape(12, 20)
+        path = tmp_path / "g.pgm"
+        write_graymap(GrayMap(values), path)
+        expected = b"P5\n20 12\n65535\n" + np.rint(values * 65535).astype(">u2").tobytes()
+        assert path.read_bytes() == expected
+
     def test_write_is_deterministic(self, tmp_path):
         gm = GrayMap(np.linspace(0, 1, 12).reshape(3, 4))
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -14,8 +14,10 @@ from pointedge import (
 
 from helpers import (
     make_instance,
+    polyline_oracle,
     random_star_instance,
     square_instance,
+    tunnel_target_oracle,
 )
 
 
@@ -99,6 +101,28 @@ class TestBitMapGrayMap:
         values.flags.writeable = False
         with pytest.raises(ValueError):
             GrayMap(values)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "GrayMap values must be finite"),
+            (np.inf, "GrayMap values must be finite"),
+            (-np.inf, "GrayMap values must be finite"),
+            (-0.1, "GrayMap values must lie in [0, 1]"),
+            (1.5, "GrayMap values must lie in [0, 1]"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["list", "kept"])
+    def test_graymap_rejection_messages(self, bad, message, source):
+        values = np.full((3, 4), 0.5)
+        values[2, 1] = bad
+        if source == "list":
+            values = values.tolist()
+        else:
+            values.flags.writeable = False
+        with pytest.raises(ValueError) as info:
+            GrayMap(values)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("source", ["view", "float32"])
     def test_graymap_copies_a_read_only_array_it_cannot_keep(self, source):
@@ -216,6 +240,74 @@ class TestBuildTunnelTarget:
         with pytest.raises(ValueError) as info:
             TunnelTarget(off_grid, 1)
         assert str(info.value) == message
+
+
+def assert_matches_the_full_frame_oracle(inst, height, width):
+    assert np.array_equal(
+        rasterize_polyline(inst, height, width).bits, polyline_oracle(inst, height, width)
+    )
+    target = build_tunnel_target(inst, height, width)
+    values, keypoint_count = tunnel_target_oracle(inst, height, width)
+    assert target.map.values.dtype == np.float64
+    assert np.array_equal(target.map.values, values)
+    assert target.keypoint_count == keypoint_count
+    assert not target.map.values.flags.writeable
+
+
+class TestFullFrameOracle:
+    """Rasters and tunnel targets equal the ones drawn over the whole frame."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        for height, width in ((20, 20), (17, 31), (40, 9)):
+            for _ in range(5):
+                assert_matches_the_full_frame_oracle(
+                    random_star_instance(rng, height, width), height, width
+                )
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            ((-4, 3), (5, 2), (4, 6)),  # left
+            ((3, -6), (7, 4), (1, 5)),  # top
+            ((2, 3), (15, 4), (5, 7)),  # right
+            ((2, 3), (6, 2), (4, 14)),  # bottom
+            ((-3, -2), (13, -1), (12, 12), (-2, 11)),  # all four
+            ((-1e6, 4), (1e6, 4.4), (0, -1e6)),  # far outside
+        ],
+        ids=["left", "top", "right", "bottom", "all-four", "far"],
+    )
+    def test_rings_clipped_at_the_borders(self, ring):
+        assert_matches_the_full_frame_oracle(make_instance(ring), 9, 11)
+
+    def test_multi_ring_instances(self):
+        inst = make_instance(
+            ((1, 1), (6, 1), (4, 5)),
+            ((8, 8), (12, 9), (10, 13)),
+            ((3, 10), (3.2, 10.4), (2.6, 9.8)),
+        )
+        assert_matches_the_full_frame_oracle(inst, 15, 14)
+        # Overlapping rings, and rings whose tunnels touch.
+        inst = make_instance(((2, 2), (9, 2), (5, 8)), ((3, 3), (10, 4), (6, 9)))
+        assert_matches_the_full_frame_oracle(inst, 12, 12)
+        inst = make_instance(((1, 1), (4, 1), (2, 3)), ((6, 1), (9, 1), (7, 3)))
+        assert_matches_the_full_frame_oracle(inst, 6, 11)
+
+    @pytest.mark.parametrize("at", [(0, 0), (4, 3), (10, 8), (0, 8), (10, 0)])
+    def test_one_pixel_rings(self, at):
+        x, y = at
+        inst = make_instance(((x, y), (x + 0.2, y - 0.3), (x - 0.4, y + 0.1)))
+        assert_matches_the_full_frame_oracle(inst, 9, 11)
+
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 7), (7, 1), (2, 9)])
+    def test_thin_frames(self, height, width):
+        for ring in (
+            ((0, 0), (width - 1, 0), (width / 2, height - 1)),
+            ((-3, -3), (width + 3, height + 3), (2, 0)),
+            ((1, 0), (1, 0), (1, 0)),
+        ):
+            assert_matches_the_full_frame_oracle(make_instance(ring), height, width)
 
 
 def test_rasterize_rejects_bad_dimensions():
