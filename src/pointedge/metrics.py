@@ -515,14 +515,49 @@ def fscore(precision: float, recall: float) -> float:
 # Dataset evaluation
 # ---------------------------------------------------------------------------
 
+# The level a float map's values are cut at for thresholds at or below 0:
+# ``values >= _SMALLEST_POSITIVE`` is exactly ``values > 0``.
+_SMALLEST_POSITIVE = 5e-324
+
+
+def _cut(graymap: GrayMap, threshold: float) -> float | int:
+    """The level ``L`` at which ``graymap.levels >= L`` binarizes at ``threshold``.
+
+    For float values ``L`` is the threshold itself, or the smallest positive
+    float where the threshold is at most 0, so zero never fires. For samples
+    it is the smallest sample ``s >= 1`` whose value ``s / maxval`` passes
+    the float test ``>= threshold``, or ``maxval + 1`` where none does (a
+    threshold above 1, or NaN). It starts from ``ceil(threshold * maxval)``
+    and steps by one while the float test says so; the division is
+    correctly rounded, so ``s / maxval`` is exactly the value the map's
+    ``values`` hold, and it never decreases as ``s`` grows.
+    """
+    maxval = graymap.maxval
+    if maxval is None:
+        return _SMALLEST_POSITIVE if threshold <= 0.0 else threshold
+    if threshold <= 0.0:
+        return 1
+    if not threshold <= 1.0:
+        return maxval + 1
+    level = max(math.ceil(threshold * maxval), 1)
+    while level > 1 and (level - 1) / maxval >= threshold:
+        level -= 1
+    while level / maxval < threshold:
+        level += 1
+    return level
+
+
 def binarize(graymap: GrayMap, threshold: float) -> BitMap:
     """Pixels with probability >= threshold; zero-probability pixels never fire.
 
-    This takes one comparison: above 0, ``values >= threshold`` already
-    implies ``values > 0``, and at or below 0 only ``values > 0`` decides.
+    This takes one comparison of the map's levels, its float values or its
+    integer samples, with the level :func:`_cut` finds for the threshold.
+    For a map of samples, as :func:`pointedge.read_graymap` gives, the
+    float values are never computed, and the result is exactly that of
+    comparing them: above 0, ``values >= threshold`` already implies
+    ``values > 0``, and at or below 0 only ``values > 0`` decides.
     """
-    values = graymap.values
-    return _owned(values > 0.0 if threshold <= 0.0 else values >= threshold)
+    return _owned(graymap.levels >= _cut(graymap, threshold))
 
 
 def _slot_counts(
@@ -538,8 +573,11 @@ def _slot_counts(
     give the same one exactly when as many pixels fire at both. Those firing
     counts are taken first; the sweep then runs in ascending order (stable,
     so repeated thresholds are adjacent) and binarizes, thins and matches
-    only where the count changes. Where nothing fires, as everywhere for a
-    missing map, the row is (0, 0, GT nodes) and nothing is called. A map
+    only where the count changes. The counts compare the map's levels with
+    the same cut levels :func:`binarize` uses (see :func:`_cut`), first
+    keeping the levels that fire at the lowest threshold, so a map of PGM
+    samples is never turned into floats. Where nothing fires, as everywhere
+    for a missing map, the row is (0, 0, GT nodes) and nothing is called. A map
     that fires on every pixel is the whole frame, whose thinning depends
     only on its shape: ``full_frames``, keyed by (H, W), keeps it. A row
     needs only how many nodes match, which is the size of the maximum
@@ -549,9 +587,11 @@ def _slot_counts(
     if graymap is None:
         return counts
     order = np.argsort(cfg.thresholds, kind="stable").tolist()
-    positive = graymap.values[graymap.values > 0.0]
-    fired = [np.count_nonzero(positive >= cfg.thresholds[i]) for i in order]
-    del positive
+    cuts = [_cut(graymap, cfg.thresholds[i]) for i in order]
+    levels = graymap.levels
+    fires = levels[levels >= cuts[0]]  # the cuts ascend with the thresholds
+    fired = [np.count_nonzero(fires >= cut) for cut in cuts]
+    del fires
     previous = None
     for i, n in zip(order, fired):
         if n == 0:
@@ -588,7 +628,7 @@ def _image_counts(
     counts = np.empty((len(image.instances), len(cfg.thresholds), 3), dtype=np.intp)
     for slot, inst in enumerate(image.instances):
         graymap = inst_maps.get(inst.instance_id)
-        if graymap is not None and graymap.values.shape != shape:
+        if graymap is not None and graymap.levels.shape != shape:
             raise ValueError(
                 f"image {image.image_id}: prediction for instance {inst.instance_id} is "
                 f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"

@@ -2,7 +2,8 @@
 
 GrayMaps are stored with maxval 65535 (two big-endian bytes per sample,
 sample = round(value * 65535)). The reader accepts any maxval in [1, 65535]
-and '#' comments in the header.
+and '#' comments in the header, and hands the samples themselves, with their
+maxval, to the map it returns.
 """
 
 from __future__ import annotations
@@ -19,9 +20,17 @@ GRAY_MAXVAL = 65535
 
 
 def write_graymap(graymap: GrayMap, path: str | Path) -> None:
-    samples = np.rint(graymap.values * GRAY_MAXVAL).astype(">u2")
+    """Write ``rint(value * 65535)`` as big-endian 16-bit samples.
+
+    The scaled values are rounded in place and converted once; the header
+    and the sample buffer are written one after the other, uncopied.
+    """
+    scaled = graymap.values * GRAY_MAXVAL
+    samples = np.rint(scaled, out=scaled).astype(">u2")
     header = f"P5\n{graymap.width} {graymap.height}\n{GRAY_MAXVAL}\n".encode("ascii")
-    Path(path).write_bytes(header + samples.tobytes())
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(samples.data)
 
 
 def _read_raw(path: str | Path) -> tuple[np.ndarray, int]:
@@ -59,19 +68,25 @@ def _read_raw(path: str | Path) -> tuple[np.ndarray, int]:
             f"{path}: expected {count} samples of {dtype.itemsize} byte(s), "
             f"found {found} bytes"
         )
-    samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    if samples.max(initial=0) > maxval:
-        raise ValueError(f"{path}: sample exceeds declared maxval {maxval}")
-    return samples.reshape(height, width), maxval
+    samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos).reshape(height, width)
+    # A native-order copy, which the map keeps as it is.
+    samples = samples.astype(dtype.newbyteorder("="))
+    samples.flags.writeable = False
+    return samples, maxval
 
 
 def read_graymap(path: str | Path) -> GrayMap:
-    """Read a PGM as values ``sample / maxval``, a read-only float64 array.
+    """Read a PGM as a map of its samples and maxval, standing for ``sample / maxval``.
 
-    The values are computed once, into an array the map then keeps.
+    The map keeps the samples in native byte order without dividing them:
+    a threshold is applied to the samples themselves (see
+    :func:`pointedge.metrics.binarize`), and the map's read-only float64
+    ``values`` are computed only if something reads them. The map checks
+    that no sample exceeds ``maxval``; every error names the file.
     """
     samples, maxval = _read_raw(path)
-    values = np.divide(samples, maxval, dtype=np.float64)
-    values.flags.writeable = False
-    return GrayMap(values)
+    try:
+        return GrayMap(samples, maxval)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 

@@ -243,6 +243,22 @@ class TestEval:
         assert manifest["command"] == "eval"
         assert manifest["config"]["max_dist_fraction"] == 0.0075
 
+    def test_scores_the_samples_without_their_float_values(
+        self, ann_path, tmp_path, capsys, monkeypatch
+    ):
+        targets = tmp_path / "targets"
+        assert main(["make-targets", str(ann_path), "--out", str(targets), "--ratio", "0.5"]) == 0
+        assert main(["eval", str(ann_path), str(targets), "--out", str(tmp_path / "a")]) == 0
+
+        def no_floats(graymap):
+            raise AssertionError("a PGM-read map's float values were computed")
+
+        monkeypatch.setattr(GrayMap, "values", property(no_floats))
+        assert main(["eval", str(ann_path), str(targets), "--out", str(tmp_path / "b")]) == 0
+        monkeypatch.undo()
+        for name in ("report.txt", "pr_curve.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_stdout_format(self, ann_path, tmp_path, capsys):
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
         main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])

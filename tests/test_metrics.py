@@ -769,6 +769,25 @@ class TestEvaluate:
         assert summary.ods == pytest.approx(ods, abs=1e-9)
         assert summary.ois == pytest.approx(ois, abs=1e-9)
 
+    def test_pgm_read_maps_are_never_turned_into_floats(self, tmp_path, monkeypatch):
+        dataset, predictions = random_dataset(np.random.default_rng(7), n_images=4)
+        read = pgm_copies(predictions, tmp_path, 65535)
+        expected = evaluate(
+            {image_id: {i: GrayMap(np.array(m.values)) for i, m in maps.items()}
+             for image_id, maps in read.items()},
+            dataset,
+        )
+        read = pgm_copies(predictions, tmp_path, 65535)
+
+        def no_floats(graymap):
+            raise AssertionError("a PGM-read map's float values were computed")
+
+        monkeypatch.setattr(GrayMap, "values", property(no_floats))
+        summary = evaluate(read, dataset)
+        monkeypatch.undo()
+        assert summary == expected
+        assert all(m._values is None for maps in read.values() for m in maps.values())
+
     def test_pgm_read_two_image_fixture(self, tmp_path):
         dataset, predictions = two_image_fixture()
         read = pgm_copies(predictions, tmp_path, 65535)
