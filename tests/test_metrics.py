@@ -777,6 +777,7 @@ class TestEvaluate:
              for image_id, maps in read.items()},
             dataset,
         )
+        # Fresh maps: the float copies above computed the first ones' values.
         read = pgm_copies(predictions, tmp_path, 65535)
 
         def no_floats(graymap):
