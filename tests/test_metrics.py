@@ -752,16 +752,21 @@ def pgm_copies(predictions, tmp_path, maxval: int):
     return copies
 
 
+def float_copies(predictions):
+    """Each map's float values, as a float map of their own."""
+    return {
+        image_id: {i: GrayMap(np.array(m.values)) for i, m in maps.items()}
+        for image_id, maps in predictions.items()
+    }
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("maxval", [255, 65535])
     @pytest.mark.parametrize("seed", [3, 11, 23])
     def test_pgm_read_maps_score_as_their_float_copies(self, tmp_path, seed, maxval):
         dataset, predictions = random_dataset(np.random.default_rng(seed), n_images=4)
         read = pgm_copies(predictions, tmp_path, maxval)
-        floats = {
-            image_id: {i: GrayMap(np.array(m.values)) for i, m in maps.items()}
-            for image_id, maps in read.items()
-        }
+        floats = float_copies(read)
         cfg = EvalConfig()
         summary = evaluate(read, dataset, cfg)
         assert summary == evaluate(floats, dataset, cfg)
@@ -772,11 +777,7 @@ class TestEvaluate:
     def test_pgm_read_maps_are_never_turned_into_floats(self, tmp_path, monkeypatch):
         dataset, predictions = random_dataset(np.random.default_rng(7), n_images=4)
         read = pgm_copies(predictions, tmp_path, 65535)
-        expected = evaluate(
-            {image_id: {i: GrayMap(np.array(m.values)) for i, m in maps.items()}
-             for image_id, maps in read.items()},
-            dataset,
-        )
+        expected = evaluate(float_copies(read), dataset)
         # Fresh maps: the float copies above computed the first ones' values.
         read = pgm_copies(predictions, tmp_path, 65535)
 
@@ -792,10 +793,7 @@ class TestEvaluate:
     def test_pgm_read_two_image_fixture(self, tmp_path):
         dataset, predictions = two_image_fixture()
         read = pgm_copies(predictions, tmp_path, 65535)
-        floats = {
-            image_id: {i: GrayMap(np.array(m.values)) for i, m in maps.items()}
-            for image_id, maps in read.items()
-        }
+        floats = float_copies(read)
         summary = evaluate(read, dataset)
         assert summary == evaluate(floats, dataset)
         assert summary.ois > summary.ods
