@@ -303,15 +303,31 @@ def thin(edges: BitMap) -> BitMap:
     Only the bounding box of the set pixels is thinned: outside it every
     pixel is unset, which the zero border around the box reproduces, and
     row-major order within the box is row-major order in the frame.
+
+    A box whose every pixel is set is a solid h x w rectangle, as every
+    never-zero map gives at threshold 0. One pass (table 0, then table 1)
+    turns a solid H x W rectangle with H, W >= 3 into exactly its
+    (H - 2) x (W - 2) interior: a pixel's fate in one pass depends only on
+    its 5x5 neighbourhood, which in a solid rectangle depends only on its
+    distances to the four sides, capped at 3, so the rectangles up to
+    13 x 13 that the tests check cover every size. So the first
+    k = (min(h, w) - 1) // 2 passes each peel one ring, none of them is
+    idle, and after them the passes start again at table 0: ``thin`` skips
+    them and thins only the 1- or 2-pixel-thick core they leave, with the
+    same output.
     """
     out = np.zeros_like(edges.bits)
     rows = np.flatnonzero(edges.bits.any(axis=1))
     if not rows.size:
         return _owned(out)
     cols = np.flatnonzero(edges.bits.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    if edges.bits[top:bottom, left:right].all():
+        k = (min(bottom - top, right - left) - 1) // 2
+        top, bottom, left, right = top + k, bottom - k, left + k, right - k
+    box = (slice(top, bottom), slice(left, right))
     # A zero border: every neighbour of a set pixel is in the grid.
-    a = np.zeros((rows[-1] - rows[0] + 3, cols[-1] - cols[0] + 3), dtype=bool)
+    a = np.zeros((bottom - top + 2, right - left + 2), dtype=bool)
     a[1:-1, 1:-1] = edges.bits[box]
     codes = _codes(a)
     offsets = _neighbour_offsets(a.shape[1])
@@ -564,7 +580,6 @@ def _slot_counts(
     graymap: GrayMap | None,
     gt: EdgeIndex,
     cfg: EvalConfig,
-    full_frames: dict[tuple[int, int], BitMap],
 ) -> np.ndarray:
     """One instance slot's (matched, predicted, GT) node counts, one row per
     threshold of ``cfg.thresholds``.
@@ -577,10 +592,9 @@ def _slot_counts(
     the same cut levels :func:`binarize` uses (see :func:`_cut`), first
     keeping the levels that fire at the lowest threshold, so a map of PGM
     samples is never turned into floats. Where nothing fires, as everywhere
-    for a missing map, the row is (0, 0, GT nodes) and nothing is called. A map
-    that fires on every pixel is the whole frame, whose thinning depends
-    only on its shape: ``full_frames``, keyed by (H, W), keeps it. A row
-    needs only how many nodes match, which is the size of the maximum
+    for a missing map, the row is (0, 0, GT nodes) and nothing is called.
+    Every other distinct map is thinned by :func:`thin`, the whole frame
+    included (see there for how it thins a solid rectangle). A row needs only how many nodes match, which is the size of the maximum
     matching :func:`match_instance` returns, whichever pairs it chose.
     """
     counts = np.tile([0, 0, len(gt.nodes)], (len(cfg.thresholds), 1))
@@ -597,13 +611,7 @@ def _slot_counts(
         if n == 0:
             break
         if n != previous:
-            bits = binarize(graymap, cfg.thresholds[i])
-            if n < bits.bits.size:
-                edges = thin(bits)
-            elif gt.shape in full_frames:
-                edges = full_frames[gt.shape]
-            else:
-                edges = full_frames[gt.shape] = thin(bits)
+            edges = thin(binarize(graymap, cfg.thresholds[i]))
             result = match_instance(edges, gt, cfg)
             row = (result.matched, result.pred_total, result.gt_total)
             previous = n
@@ -615,7 +623,6 @@ def _image_counts(
     image: ImageRecord,
     inst_maps: Mapping[int, GrayMap],
     cfg: EvalConfig,
-    full_frames: dict[tuple[int, int], BitMap],
 ) -> np.ndarray:
     """One image's counts, shaped (instance slots, thresholds, 3).
 
@@ -635,7 +642,7 @@ def _image_counts(
             )
         try:
             gt = index_edges(thin(rasterize_polyline(inst, *shape)))
-            counts[slot] = _slot_counts(graymap, gt, cfg, full_frames)
+            counts[slot] = _slot_counts(graymap, gt, cfg)
         except (ValueError, MemoryError) as exc:  # an image too large to allocate
             raise ValueError(
                 f"image {image.image_id} ({image.height}x{image.width}): {exc}"
@@ -659,9 +666,7 @@ def evaluate(
     images are then scored one at a time in image-id order, and within an
     image one instance slot at a time (see :func:`_image_counts`): each map
     is looked up once, when its slot is scored, and released when the slot
-    is done, so one map is in use at a time. The thinned whole frame, which
-    every never-zero map gives at threshold 0, is computed once per image
-    shape and shared by this call's images; nothing is kept between calls.
+    is done, so one map is in use at a time.
 
     Raises:
         ValueError: a prediction references an unknown image or instance, a
@@ -673,7 +678,7 @@ def evaluate(
     by_id = {image.image_id: image for image in gts.images}
     for image_id in predictions:
         if image_id not in by_id:
-            raise ValueError(f"prediction for unknown image_id {image_id}")
+            raise ValueError(f"prediction for unknown image {image_id}")
     for image_id, inst_maps in predictions.items():
         known = {inst.instance_id for inst in by_id[image_id].instances}
         for instance_id in inst_maps:
@@ -681,11 +686,10 @@ def evaluate(
                 raise ValueError(
                     f"image {image_id}: prediction for unknown instance_id {instance_id}"
                 )
-    full_frames: dict[tuple[int, int], BitMap] = {}
     # Precision, recall and F of each image at each threshold.
     per_image = np.empty((len(by_id), len(cfg.thresholds), 3))
     for row, image_id in enumerate(sorted(by_id)):
-        counts = _image_counts(by_id[image_id], predictions.get(image_id, {}), cfg, full_frames)
+        counts = _image_counts(by_id[image_id], predictions.get(image_id, {}), cfg)
         for i in range(len(cfg.thresholds)):
             precision, recall = image_pr(counts[:, i])
             per_image[row, i] = precision, recall, fscore(precision, recall)

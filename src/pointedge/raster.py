@@ -166,11 +166,12 @@ class TunnelTarget:
         if self.keypoint_count < 1:
             raise ValueError("keypoint_count must be >= 1")
         v = self.map.values
-        # Counts of the three disjoint levels, not np.unique: sorting the
-        # frame is slower and loads numpy.ma. The sorted values are taken
-        # only for the message.
-        ones = np.count_nonzero(v == 1.0)
-        if np.count_nonzero(v == 0.0) + np.count_nonzero(v == TUNNEL_VALUE) + ones != v.size:
+        # One frame comparison, then counts over the few placed values, not
+        # np.unique: sorting the frame is slower and loads numpy.ma. The
+        # sorted values are taken only for the message.
+        placed = v[v != 0.0]
+        ones = np.count_nonzero(placed == 1.0)
+        if np.count_nonzero(placed == TUNNEL_VALUE) + ones != placed.size:
             allowed = {0.0, TUNNEL_VALUE, 1.0}
             raise ValueError(
                 f"tunnel target values must be in {allowed}, got {np.unique(v)}"

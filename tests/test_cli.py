@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointedge import GrayMap, parse_dataset, rasterize_polyline, read_graymap, write_graymap
@@ -605,6 +605,11 @@ class TestAnnotationFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(text=edited_documents())
+    # Image 1 and both its annotations deleted: a valid document for which
+    # the predictions name an unknown image.
+    @example(text=json.dumps(
+        {**ANN_DOC, "images": ANN_DOC["images"][1:], "annotations": ANN_DOC["annotations"][2:]}
+    ))
     def test_make_targets_and_eval(self, workdir, text):
         path = workdir / "edited.json"
         path.write_text(text)

@@ -31,6 +31,7 @@ from pointedge import (
     thin,
     write_graymap,
 )
+from pointedge.metrics import _DELETABLE
 
 from helpers import (
     bitmap_from_pixels,
@@ -42,6 +43,7 @@ from helpers import (
     flat_ring_instance,
     random_blob,
     random_dataset,
+    _full_frame_codes,
     reference_thin,
     to_graymap,
     two_image_fixture,
@@ -172,6 +174,52 @@ class TestThin:
         rng = np.random.default_rng(shape[1])
         for density in (0.0, 0.5, 1.0):
             assert_thin_matches_reference(rng.random(shape) < density)
+
+    def test_one_pass_peels_a_solid_rectangle_to_its_interior(self):
+        # Table 0 and then table 1, each recomputed over the whole grid, turn
+        # a solid H x W rectangle with H, W >= 3 into exactly its interior,
+        # and each table deletes something, so no peeled pass is idle. A
+        # pixel's fate in one pass depends only on its 5x5 neighbourhood,
+        # and in a solid rectangle that depends only on the pixel's distances
+        # to the four sides, capped at 3; so these sizes cover every
+        # rectangle, which is what lets thin skip straight to the core.
+        for height in range(3, 14):
+            for width in range(3, 14):
+                a = np.ones((height, width), dtype=bool)
+                for table in _DELETABLE:
+                    removable = a & table[_full_frame_codes(a)]
+                    assert removable.any(), (height, width)
+                    a[removable] = False
+                interior = np.zeros_like(a)
+                interior[1:-1, 1:-1] = True
+                assert np.array_equal(a, interior), (height, width)
+
+    def test_solid_rectangles_match_full_frame_reference(self):
+        for height in range(1, 41):
+            for width in range(1, 41):
+                assert_thin_matches_reference(np.ones((height, width), dtype=bool))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 40])
+    def test_solid_strips_match_full_frame_reference(self, length):
+        for shape in ((1, length), (length, 1), (2, length)):
+            assert_thin_matches_reference(np.ones(shape, dtype=bool))
+
+    def test_whole_benchmark_frame_matches_full_frame_reference(self):
+        assert_thin_matches_reference(np.ones((321, 481), dtype=bool))
+
+    def test_solid_rectangle_off_centre_matches_full_frame_reference(self):
+        bits = np.zeros((40, 50), dtype=bool)
+        bits[3:20, 21:48] = True
+        assert_thin_matches_reference(bits)
+
+    @pytest.mark.parametrize("touch", [(2, 10), (20, 30), (10, 30), (10, 9)])
+    def test_rectangle_with_a_touching_pixel_is_not_peeled(self, touch):
+        # The extra pixel widens the bounding box past the rectangle, so the
+        # box is not solid and the whole map is thinned.
+        bits = np.zeros((24, 36), dtype=bool)
+        bits[3:20, 10:30] = True
+        bits[touch] = True
+        assert_thin_matches_reference(bits)
 
 
 # 4x4 windows whose gaps exceed every d drawn below, so each window's nodes
@@ -874,7 +922,7 @@ class TestEvaluate:
 
     def test_unknown_image_rejected(self):
         dataset, predictions = exact_prediction_setup()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^prediction for unknown image 2$"):
             evaluate({2: {}}, dataset)
 
     def test_unknown_instance_rejected(self):
@@ -982,7 +1030,10 @@ class TestEvaluate:
 
         assert len(calls["binarize"]) == len(distinct)
         assert len(calls["match_instance"]) == len(distinct)
-        assert sum(edges.bits.all() for edges, in calls["thin"]) == 1
+        # Every slot whose map fires everywhere thins the whole frame itself.
+        everywhere = sum(bool((m.levels > 0).all()) for m in predictions[1].values())
+        assert everywhere == 2
+        assert sum(edges.bits.all() for edges, in calls["thin"]) == everywhere
         ods, ois, curve = eval_oracle(
             predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
         )
@@ -1028,10 +1079,10 @@ class TestEvaluate:
                 (t, p, r, f), abs=1e-9
             )
 
-    def test_whole_frame_thinned_once_per_shape(self, monkeypatch):
-        # Never-zero maps fire on every pixel at threshold 0. That frame's
-        # thinning depends only on its shape, so two shapes take two thin
-        # calls per evaluate, and a second evaluate computes them again.
+    def test_whole_frame_thinned_once_per_slot(self, monkeypatch):
+        # Never-zero maps fire on every pixel at threshold 0. Each slot thins
+        # that whole frame once, as it does any other map, the thinned frame
+        # equals the oracle's, and a second evaluate gives the same summary.
         rng = np.random.default_rng(17)
         images, predictions = [], {}
         for image_id, (h, w) in enumerate(((16, 16), (12, 20), (16, 16)), start=1):
@@ -1049,13 +1100,23 @@ class TestEvaluate:
         dataset = Dataset(images=tuple(images), categories={0: "thing"})
         cfg = EvalConfig()
 
+        whole = []
+
+        def recording_thin(edges, _real=pointedge.metrics.thin):
+            out = _real(edges)
+            if edges.bits.all():
+                whole.append(out.bits)
+            return out
+
         summaries = []
         for _ in range(2):
-            calls = count_calls(monkeypatch, pointedge.metrics, "thin")
+            whole.clear()
+            monkeypatch.setattr(pointedge.metrics, "thin", recording_thin)
             summaries.append(evaluate(predictions, dataset, cfg))
             monkeypatch.undo()
-            whole = sorted(edges.bits.shape for edges, in calls["thin"] if edges.bits.all())
-            assert whole == [(12, 20), (16, 16)]
+            assert sorted(bits.shape for bits in whole) == [(12, 20)] * 2 + [(16, 16)] * 4
+            for bits in whole:
+                assert np.array_equal(bits, reference_thin(np.ones(bits.shape, dtype=bool)))
         assert summaries[0] == summaries[1]
         ods, ois, curve = eval_oracle(predictions, dataset, cfg.thresholds, cfg.max_dist_fraction)
         assert summaries[0].ods == pytest.approx(ods, abs=1e-9)
