@@ -594,8 +594,8 @@ def _slot_counts(
     samples is never turned into floats. Where nothing fires, as everywhere
     for a missing map, the row is (0, 0, GT nodes) and nothing is called.
     Every other distinct map is thinned by :func:`thin`, the whole frame
-    included (see there for how it thins a solid rectangle). A row needs only how many nodes match, which is the size of the maximum
-    matching :func:`match_instance` returns, whichever pairs it chose.
+    included (see there for how it thins a solid rectangle). A row needs
+    only how many nodes match, which is the size of the maximum matching :func:`match_instance` returns, whichever pairs it chose.
     """
     counts = np.tile([0, 0, len(gt.nodes)], (len(cfg.thresholds), 1))
     if graymap is None:
