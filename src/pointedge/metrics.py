@@ -306,15 +306,12 @@ def thin(edges: BitMap) -> BitMap:
 
     A box whose every pixel is set is a solid h x w rectangle, as every
     never-zero map gives at threshold 0. One pass (table 0, then table 1)
-    turns a solid H x W rectangle with H, W >= 3 into exactly its
-    (H - 2) x (W - 2) interior: a pixel's fate in one pass depends only on
-    its 5x5 neighbourhood, which in a solid rectangle depends only on its
-    distances to the four sides, capped at 3, so the rectangles up to
-    13 x 13 that the tests check cover every size. So the first
-    k = (min(h, w) - 1) // 2 passes each peel one ring, none of them is
-    idle, and after them the passes start again at table 0: ``thin`` skips
-    them and thins only the 1- or 2-pixel-thick core they leave, with the
-    same output.
+    turns a solid H x W rectangle with H, W >= 3 into exactly its interior,
+    and each table deletes something: a pixel's fate in one pass depends
+    only on its 5x5 neighbourhood, so the sizes up to 13 x 13 that the
+    tests check cover every rectangle. So ``thin`` skips the first
+    (min(h, w) - 1) // 2 passes, which peel one ring each, and thins only
+    the 1- or 2-pixel-thick core they leave: the output is the same.
     """
     out = np.zeros_like(edges.bits)
     rows = np.flatnonzero(edges.bits.any(axis=1))
@@ -595,7 +592,8 @@ def _slot_counts(
     for a missing map, the row is (0, 0, GT nodes) and nothing is called.
     Every other distinct map is thinned by :func:`thin`, the whole frame
     included (see there for how it thins a solid rectangle). A row needs
-    only how many nodes match, which is the size of the maximum matching :func:`match_instance` returns, whichever pairs it chose.
+    only how many nodes match, which is the size of the maximum matching
+    :func:`match_instance` returns, whichever pairs it chose.
     """
     counts = np.tile([0, 0, len(gt.nodes)], (len(cfg.thresholds), 1))
     if graymap is None:

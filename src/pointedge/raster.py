@@ -170,7 +170,7 @@ class TunnelTarget:
         # np.unique: sorting the frame is slower and loads numpy.ma. The
         # sorted values are taken only for the message. The placed values
         # are counted as a list: comparing them as an array raised
-        # make-targets' peak RSS by 0.3-0.7 MiB in the benchmark's workers.
+        # make-targets' peak RSS by about 0.3 MiB in the benchmark's workers.
         placed = v[v != 0.0].tolist()
         ones = placed.count(1.0)
         if placed.count(TUNNEL_VALUE) + ones != len(placed):
