@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from collections import UserDict
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -41,17 +40,6 @@ from .raster import TUNNEL_VALUE, GrayMap, TunnelTarget, build_tunnel_target
 GRADIENT_TOLERANCE = 1e-5
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written alongside every command's output."""
-
-    command: str
-    inputs: dict[str, str]
-    config: dict[str, object]
-    version: str
-    duration_seconds: float
-
-
 def _write_run_manifest(
     directory: Path,
     command: str,
@@ -59,15 +47,15 @@ def _write_run_manifest(
     config: dict[str, object],
     started: float,
 ) -> None:
-    manifest = RunManifest(
-        command=command,
-        inputs=inputs,
-        config=config,
-        version=__version__,
-        duration_seconds=time.perf_counter() - started,
-    )
-    path = directory / "run.json"
-    path.write_text(json.dumps(asdict(manifest), indent=1) + "\n")
+    """Write the reproducibility record kept alongside every command's output."""
+    manifest = {
+        "command": command,
+        "inputs": inputs,
+        "config": config,
+        "version": __version__,
+        "duration_seconds": time.perf_counter() - started,
+    }
+    (directory / "run.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 def _positive_int(text: str) -> int:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pointedge
 from pointedge import GrayMap, parse_dataset, rasterize_polyline, read_graymap, write_graymap
 from pointedge.cli import main
 
@@ -91,6 +92,23 @@ def read_run_manifest(directory):
     assert set(doc) == {"command", "inputs", "config", "version", "duration_seconds"}
     assert doc["duration_seconds"] >= 0.0
     return doc
+
+
+@pytest.mark.parametrize("command", ["make-targets", "eval", "loss-check", "demo-forward"])
+def test_run_manifest_names_its_command_and_version(command, ann_path, tmp_path, capsys):
+    args = {
+        "make-targets": [str(ann_path)],
+        "eval": [str(ann_path), str(write_exact_predictions(tmp_path / "preds", ann_path))],
+        "loss-check": ["--trials", "1"],
+        "demo-forward": [],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = read_run_manifest(out)
+    assert list(doc) == ["command", "inputs", "config", "version", "duration_seconds"]
+    assert doc["command"] == command
+    assert doc["version"] == pointedge.__version__
 
 
 class TestMakeTargets:

@@ -29,6 +29,13 @@ def test_package_exports_the_union_of_its_modules_exports():
         assert getattr(pointedge, name) is getattr(module, name), name
 
 
+def test_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from pointedge import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(pointedge.__all__)
+
+
 def scipy_modules_loaded_by_cli_import() -> list[str]:
     """The scipy modules ``import pointedge.cli`` loads in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
