@@ -5,9 +5,11 @@ annotation document, ``eval`` scores per-instance edge predictions,
 ``loss-check`` verifies the loss gradients against finite differences, and
 ``demo-forward`` runs the reference decoder heads on seeded random inputs.
 
-Every command is deterministic given identical arguments, writes a
-``run.json`` manifest echoing its resolved configuration, and exits 0 on
-success, 1 on a validation error, and 2 on an I/O error.
+Every command is deterministic given identical arguments and exits 0 on
+success, 1 on a validation error, and 2 on an I/O error. A command does its
+work and returns its exit status with the inputs and configuration it ran
+on; :func:`main` then writes them, timed, to ``run.json`` in ``--out``. A
+command that stops on an error writes none.
 """
 
 from __future__ import annotations
@@ -39,23 +41,8 @@ from .raster import TUNNEL_VALUE, GrayMap, TunnelTarget, build_tunnel_target
 
 GRADIENT_TOLERANCE = 1e-5
 
-
-def _write_run_manifest(
-    directory: Path,
-    command: str,
-    inputs: dict[str, str],
-    config: dict[str, object],
-    started: float,
-) -> None:
-    """Write the reproducibility record kept alongside every command's output."""
-    manifest = {
-        "command": command,
-        "inputs": inputs,
-        "config": config,
-        "version": __version__,
-        "duration_seconds": time.perf_counter() - started,
-    }
-    (directory / "run.json").write_text(json.dumps(manifest, indent=1) + "\n")
+# A command's exit status, and the inputs and configuration run.json records.
+Outcome = tuple[int, dict[str, str], dict[str, object]]
 
 
 def _positive_int(text: str) -> int:
@@ -99,8 +86,7 @@ def _read_dataset(path: str) -> Dataset:
 # make-targets
 # ---------------------------------------------------------------------------
 
-def cmd_make_targets(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_make_targets(args: argparse.Namespace) -> Outcome:
     dataset = _read_dataset(args.annotations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,15 +116,9 @@ def cmd_make_targets(args: argparse.Namespace) -> int:
     (out / "manifest.json").write_text(
         json.dumps({"entries": entries}, indent=1) + "\n"
     )
-    _write_run_manifest(
-        out,
-        "make-targets",
-        {"annotations": str(args.annotations)},
-        {"ratio": args.ratio, "seed": args.seed, "tunnel_value": TUNNEL_VALUE},
-        started,
-    )
     print(f"wrote {len(entries)} tunnel targets to {out}")
-    return 0
+    config = {"ratio": args.ratio, "seed": args.seed, "tunnel_value": TUNNEL_VALUE}
+    return 0, {"annotations": str(args.annotations)}, config
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +185,7 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
     return predictions
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_eval(args: argparse.Namespace) -> Outcome:
     dataset = _read_dataset(args.annotations)
     predictions = _load_predictions(Path(args.predictions), dataset)
     cfg = EvalConfig(max_dist_fraction=args.dist_fraction)
@@ -246,19 +225,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for pt in summary.curve
     ]
     (out / "pr_curve.csv").write_text("\n".join(table) + "\n")
-    _write_run_manifest(
-        out,
-        "eval",
-        {"annotations": str(args.annotations), "predictions": str(args.predictions)},
-        {
-            "max_dist_fraction": cfg.max_dist_fraction,
-            "thresholds": list(cfg.thresholds),
-        },
-        started,
-    )
     print(f"ODS {summary.ods:.4f}")
     print(f"OIS {summary.ois:.4f}")
-    return 0
+    inputs = {"annotations": str(args.annotations), "predictions": str(args.predictions)}
+    config = {"max_dist_fraction": cfg.max_dist_fraction, "thresholds": list(cfg.thresholds)}
+    return 0, inputs, config
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +245,7 @@ def _random_target(rng: np.random.Generator, height: int, width: int) -> TunnelT
     return TunnelTarget(GrayMap(values), int((values == 1.0).sum()))
 
 
-def cmd_loss_check(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_loss_check(args: argparse.Namespace) -> Outcome:
     rng = np.random.default_rng(args.seed)
     cfg = FocalConfig()
     worst_focal = 0.0
@@ -296,34 +266,24 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
         )
     print(f"focal max relative error {worst_focal!r}")
     print(f"dice max relative error {worst_dice!r}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run_manifest(
-        out,
-        "loss-check",
-        {},
-        {
-            "seed": args.seed,
-            "trials": args.trials,
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-            "gamma": cfg.gamma,
-            "tolerance": GRADIENT_TOLERANCE,
-        },
-        started,
-    )
-    if worst_focal > GRADIENT_TOLERANCE or worst_dice > GRADIENT_TOLERANCE:
+    failed = worst_focal > GRADIENT_TOLERANCE or worst_dice > GRADIENT_TOLERANCE
+    if failed:
         print("gradient check FAILED", file=sys.stderr)
-        return 1
-    return 0
+    return int(failed), {}, {
+        "seed": args.seed,
+        "trials": args.trials,
+        "alpha": cfg.alpha,
+        "beta": cfg.beta,
+        "gamma": cfg.gamma,
+        "tolerance": GRADIENT_TOLERANCE,
+    }
 
 
 # ---------------------------------------------------------------------------
 # demo-forward
 # ---------------------------------------------------------------------------
 
-def cmd_demo_forward(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_demo_forward(args: argparse.Namespace) -> Outcome:
     rng = np.random.default_rng(args.seed)
     queries = QuerySet(rng.standard_normal((args.queries, args.dim)))
     weight = rng.standard_normal((args.dim, args.channels))
@@ -349,23 +309,14 @@ def cmd_demo_forward(args: argparse.Namespace) -> int:
         fw = max(1, args.width // factor)
         cost = cross_attention_cost(queries.n, queries.d, fh, fw)
         print(f"  1/{factor}: {fh}x{fw} ({fh * fw} tokens) cost {cost}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run_manifest(
-        out,
-        "demo-forward",
-        {},
-        {
-            "queries": args.queries,
-            "dim": args.dim,
-            "channels": args.channels,
-            "height": args.height,
-            "width": args.width,
-            "seed": args.seed,
-        },
-        started,
-    )
-    return 0
+    return 0, {}, {
+        "queries": args.queries,
+        "dim": args.dim,
+        "channels": args.channels,
+        "height": args.height,
+        "width": args.width,
+        "seed": args.seed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda",
         dest="dist_fraction",
         type=_fraction,
-        default=0.0075,
+        default=EvalConfig.max_dist_fraction,
         help="matching distance as a fraction of the image diagonal",
     )
     p.set_defaults(func=cmd_eval)
@@ -451,8 +402,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 0 for --help/--version and 2 for bad arguments;
         # remap the latter to the documented validation status.
         return 0 if exc.code in (0, None) else 1
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, inputs, config = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        run = {
+            "command": args.command,
+            "inputs": inputs,
+            "config": config,
+            "version": __version__,
+            "duration_seconds": time.perf_counter() - started,
+        }
+        (out / "run.json").write_text(json.dumps(run, indent=1) + "\n")
+        return code
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

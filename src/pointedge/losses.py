@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .raster import GrayMap, TunnelTarget
+from .raster import TUNNEL_VALUE, GrayMap, TunnelTarget
 
 __all__ = [
     "FocalConfig",
@@ -41,12 +41,13 @@ class FocalConfig:
 
     ``alpha`` tempers well-classified pixels, ``beta`` attenuates the penalty
     near soft-positive (tunnel) regions, and ``gamma`` is the target value at
-    or above which a pixel counts as positive.
+    or above which a pixel counts as positive: by default the tunnel value,
+    so tunnel pixels are positives.
     """
 
     alpha: float = 2.0
     beta: float = 4.0
-    gamma: float = 0.7
+    gamma: float = TUNNEL_VALUE
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:

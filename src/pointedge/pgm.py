@@ -68,10 +68,8 @@ def _read_raw(path: str | Path) -> tuple[np.ndarray, int]:
             f"{path}: expected {count} samples of {dtype.itemsize} byte(s), "
             f"found {found} bytes"
         )
+    # A read-only view of the file's bytes; the map makes its native copy.
     samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos).reshape(height, width)
-    # A native-order copy, which the map keeps as it is.
-    samples = samples.astype(dtype.newbyteorder("="))
-    samples.flags.writeable = False
     return samples, maxval
 
 

@@ -111,6 +111,38 @@ def test_run_manifest_names_its_command_and_version(command, ann_path, tmp_path,
     assert doc["version"] == pointedge.__version__
 
 
+def _unknown_instance(ann_path, tmp_path):
+    preds = write_exact_predictions(tmp_path / "preds", ann_path)
+    doc = json.loads((preds / "manifest.json").read_text())
+    doc["entries"][0]["instance_id"] = 99
+    (preds / "manifest.json").write_text(json.dumps(doc))
+    return ["eval", str(ann_path), str(preds)], 1
+
+
+def _missing_annotations(ann_path, tmp_path):
+    return ["make-targets", str(tmp_path / "nope.json")], 2
+
+
+def _unallocatable_image(ann_path, tmp_path):
+    doc = json.loads(json.dumps(ANN_DOC))
+    doc["images"][1].update(height=10**9, width=10**9)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return ["make-targets", str(path)], 1
+
+
+@pytest.mark.parametrize("case", [_unknown_instance, _missing_annotations, _unallocatable_image])
+def test_failing_command_writes_no_run_json(case, ann_path, tmp_path, capsys):
+    args, code = case(ann_path, tmp_path)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "run.json").exists()
+    # make-targets creates --out before its first target, eval only once
+    # every prediction is scored.
+    assert out.exists() == (case is _unallocatable_image)
+
+
 class TestMakeTargets:
     def test_happy_path(self, ann_path, tmp_path, capsys):
         out = tmp_path / "targets"
@@ -673,6 +705,12 @@ class TestLossCheck:
         first = capsys.readouterr().out
         main(["loss-check", "--seed", "3", "--trials", "4", "--out", str(tmp_path)])
         assert capsys.readouterr().out == first
+
+    def test_failed_check_exits_1_after_writing_run_json(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("pointedge.cli.GRADIENT_TOLERANCE", -1.0)
+        assert main(["loss-check", "--trials", "1", "--out", str(tmp_path)]) == 1
+        assert "gradient check FAILED" in capsys.readouterr().err
+        assert read_run_manifest(tmp_path)["config"]["tolerance"] == -1.0
 
     def test_zero_trials_exits_1(self, tmp_path, capsys):
         assert main(["loss-check", "--trials", "0", "--out", str(tmp_path)]) == 1

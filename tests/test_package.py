@@ -1,6 +1,6 @@
-"""The package's public names are exactly those its modules export,
-importing the command line loads no scipy module, and make-targets loads no
-numpy.ma."""
+"""The package's public names are exactly those its modules export, its
+version is declared once, importing the command line loads no scipy module,
+and make-targets loads no numpy.ma."""
 
 import importlib
 import json
@@ -9,9 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pointedge
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 MODULES = ("annotations", "kernels", "losses", "metrics", "pgm", "raster")
 
@@ -34,6 +37,14 @@ def test_star_import_binds_exactly_the_exported_names():
     exec("from pointedge import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(pointedge.__all__)
+
+
+@pytest.mark.filterwarnings("ignore:Support for .*tool.setuptools.* is still")
+def test_pyproject_version_is_the_package_version():
+    # pyproject.toml reads the version from pointedge.__version__.
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(ROOT / "pyproject.toml")
+    assert config["project"]["version"] == pointedge.__version__
 
 
 def scipy_modules_loaded_by_cli_import() -> list[str]:

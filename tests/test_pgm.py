@@ -48,6 +48,10 @@ class TestGraymapFormat:
         assert not gm.values.flags.writeable
         with pytest.raises(ValueError):
             gm.values[0, 0] = 0.0
+        # One native copy of the samples, not a view that keeps the file's bytes.
+        assert gm.levels.dtype.isnative
+        assert not gm.levels.flags.writeable
+        assert gm.levels.base is None
 
     def test_bytes_are_the_rounded_16_bit_samples(self, tmp_path):
         # Half-way points round to even, as np.rint does.
