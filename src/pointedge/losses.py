@@ -50,7 +50,7 @@ class FocalConfig:
     gamma: float = TUNNEL_VALUE
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("alpha and beta must be >= 0")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
@@ -192,13 +192,14 @@ def finite_diff_check(
 
     ``loss(pred_grid, aux)`` must return a :class:`LossResult`; only its
     ``value`` feeds the numerical side. Relative error at a pixel is
-    ``|a - n| / max(1, |a|, |n|)``.
+    ``|a - n| / max(1, |a|, |n|)``, and a NaN error at any pixel makes the
+    result NaN.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     p = _grid(pred).copy()
     analytical = loss(p, aux).gradient
-    worst = 0.0
+    errors = []
     for idx in np.ndindex(p.shape):
         saved = p[idx]
         p[idx] = saved + step
@@ -208,6 +209,5 @@ def finite_diff_check(
         p[idx] = saved
         numerical = (upper - lower) / (2.0 * step)
         a = float(analytical[idx])
-        err = abs(a - numerical) / max(1.0, abs(a), abs(numerical))
-        worst = max(worst, err)
-    return worst
+        errors.append(abs(a - numerical) / max(1.0, abs(a), abs(numerical)))
+    return float(np.max(errors, initial=0.0))

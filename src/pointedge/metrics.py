@@ -10,7 +10,6 @@ shared threshold) and OIS (mean of each image's best F).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -66,39 +65,38 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """One instance's pixel-matching outcome.
+    """One instance's pixel-matching outcome, as the matcher returns it.
 
-    ``matched_pairs`` holds (gt node index, pred node index) pairs, sorted by
-    gt index; node indices follow the row-major scan order of
-    :func:`edge_nodes`, and each lies in ``[0, gt_total)`` or
-    ``[0, pred_total)``. From :func:`match_instance` they are *a* maximum
-    matching: where several tie, which pairs are chosen is unspecified, and
-    only the counts enter a score.
+    ``mates`` gives each gt node's matched pred node, or -1, with nodes in
+    the row-major order of :func:`edge_nodes`; the counts and pairs are
+    derived from it when read. From :func:`match_instance` it is *a* maximum
+    matching: which pairs are chosen among ties is unspecified, and only the
+    counts enter a score.
     """
 
-    matched_pairs: tuple[tuple[int, int], ...]
+    mates: tuple[int, ...]
     pred_total: int
-    gt_total: int
 
     def __post_init__(self) -> None:
-        # C-level passes over the two sides: a numpy check costs more than
-        # this at the few hundred pairs one instance has.
-        if not self.matched_pairs:
-            return
-        gt_side, pred_side = zip(*self.matched_pairs)
-        if len(set(gt_side)) != len(gt_side) or len(set(pred_side)) != len(pred_side):
-            raise ValueError("matched pairs must be one-to-one on both sides")
-        if not all(map(operator.lt, gt_side, gt_side[1:])):
-            raise ValueError("matched pairs must be sorted by gt index")
-        if not (
-            0 <= gt_side[0] and gt_side[-1] < self.gt_total
-            and 0 <= min(pred_side) and max(pred_side) < self.pred_total
-        ):
-            raise ValueError("matched pair names a node outside its side")
+        # C-level passes: a numpy check costs more at a few hundred nodes.
+        mated = set(self.mates) - {-1}
+        if mated and not (0 <= min(mated) and max(mated) < self.pred_total):
+            raise ValueError("mate names a node outside the prediction")
+        if len(mated) != self.matched:
+            raise ValueError("a pred node is mated twice")
+
+    @property
+    def gt_total(self) -> int:
+        return len(self.mates)
 
     @property
     def matched(self) -> int:
-        return len(self.matched_pairs)
+        return self.gt_total - self.mates.count(-1)
+
+    @property
+    def matched_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (gt node, pred node) pairs, sorted by gt node."""
+        return tuple((g, p) for g, p in enumerate(self.mates) if p != -1)
 
 
 @dataclass(frozen=True)
@@ -372,8 +370,8 @@ def _candidates(
     ascending order, the pred nodes strictly closer than ``d`` to gt node i.
 
     ``pred_flat`` holds the prediction's sorted flat pixel indices. For each
-    row offset ``dy``, ``reach`` is the largest ``dx`` whose distance passes
-    the same float test ``cdist`` makes, so pairs at exactly ``d`` never
+    row offset ``dy``, ``reach`` is the largest ``dx`` that passes the float64
+    test ``np.sqrt(dy*dy + dx*dx) < d``, so pairs at exactly ``d`` never
     match. Within one row a gt node's candidates are one contiguous run of
     ``pred_flat``, found by two binary searches; rows outside the frame give
     empty runs. Memory is O(gt nodes x rows within ``d`` + candidate pairs).
@@ -496,11 +494,9 @@ def match_instance(
     pred_flat = np.flatnonzero(pred.bits)
     n_gt, n_pred = len(gt.nodes), len(pred_flat)
     if n_gt == 0 or n_pred == 0:
-        return MatchResult((), pred_total=n_pred, gt_total=n_gt)
+        return MatchResult((-1,) * n_gt, pred_total=n_pred)
     indptr, indices = _candidates(gt, pred_flat, cfg.max_distance(*pred.bits.shape))
-    gt_mate = _maximum_matching(indptr, indices, n_pred)
-    pairs = tuple([(g, p) for g, p in enumerate(gt_mate) if p >= 0])
-    return MatchResult(pairs, pred_total=n_pred, gt_total=n_gt)
+    return MatchResult(tuple(_maximum_matching(indptr, indices, n_pred)), pred_total=n_pred)
 
 
 def image_pr(counts: np.ndarray) -> tuple[float, float]:

@@ -114,6 +114,8 @@ class GrayMap:
                 raise ValueError("GrayMap samples must be an unsigned integer array")
             if not (isinstance(maxval, (int, np.integer)) and maxval >= 1):
                 raise ValueError(f"GrayMap maxval must be a positive integer, got {maxval!r}")
+            maxval = int(maxval)
+            object.__setattr__(self, "maxval", maxval)
             native = arr.dtype.newbyteorder("=")
             if not _owned_read_only(arr, native):
                 arr = arr.astype(native, order="C")

@@ -712,6 +712,21 @@ class TestLossCheck:
         assert "gradient check FAILED" in capsys.readouterr().err
         assert read_run_manifest(tmp_path)["config"]["tolerance"] == -1.0
 
+    def test_nan_gradient_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        focal = pointedge.cli.penalty_reduced_focal
+
+        def nan_focal(pred, target, cfg):
+            res = focal(pred, target, cfg)
+            gradient = res.gradient.copy()
+            gradient[-1, -1] = np.nan
+            return pointedge.LossResult(value=res.value, gradient=gradient)
+
+        monkeypatch.setattr("pointedge.cli.penalty_reduced_focal", nan_focal)
+        assert main(["loss-check", "--trials", "3", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "focal max relative error nan"
+        assert "gradient check FAILED" in err
+
     def test_zero_trials_exits_1(self, tmp_path, capsys):
         assert main(["loss-check", "--trials", "0", "--out", str(tmp_path)]) == 1
         capsys.readouterr()

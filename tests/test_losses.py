@@ -148,6 +148,9 @@ class TestPenaltyReducedFocal:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FocalConfig(alpha=-1.0)
+        for bad in ({"alpha": math.nan}, {"beta": math.nan}):
+            with pytest.raises(ValueError, match="alpha and beta must be >= 0"):
+                FocalConfig(**bad)
         with pytest.raises(ValueError):
             FocalConfig(gamma=0.0)
         with pytest.raises(ValueError):
@@ -274,7 +277,19 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(broken, p, y) > 1e-3
 
     def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            finite_diff_check(
-                lambda p, a: dice_loss(p, [[1.0]]), [[0.5]], None, step=0.0
-            )
+        for step in (0.0, math.nan):
+            with pytest.raises(ValueError, match="step must be positive"):
+                finite_diff_check(
+                    lambda p, a: dice_loss(p, [[1.0]]), [[0.5]], None, step=step
+                )
+
+    def test_nan_gradient_fails(self):
+        def nan_at_last_pixel(pred, aux):
+            res = dice_loss(pred, aux)
+            gradient = res.gradient.copy()
+            gradient[-1, -1] = np.nan
+            return LossResult(value=res.value, gradient=gradient)
+
+        y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        p = np.full((3, 3), 0.5)
+        assert math.isnan(finite_diff_check(nan_at_last_pixel, p, y))

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 import weakref
 from collections.abc import Mapping
 
@@ -568,18 +569,15 @@ class TestMatchInstance:
         assert empty.nodes.shape == (0, 2)
 
     def test_match_result_validation(self):
-        with pytest.raises(ValueError):
-            MatchResult(((0, 0), (0, 1)), pred_total=3, gt_total=3)
-        with pytest.raises(ValueError):
-            MatchResult(((0, 0), (1, 0)), pred_total=3, gt_total=3)
-        with pytest.raises(ValueError):
-            MatchResult(((0, 0),), pred_total=0, gt_total=1)
-        for pairs in (((5, 0),), ((-1, 0),), ((0, 1),), ((0, -1),)):
-            with pytest.raises(ValueError, match="outside its side"):
-                MatchResult(pairs, pred_total=1, gt_total=1)
-        with pytest.raises(ValueError, match="sorted by gt index"):
-            MatchResult(((1, 0), (0, 1)), pred_total=3, gt_total=3)
-        assert MatchResult(((0, 1), (2, 0)), pred_total=2, gt_total=3).matched == 2
+        with pytest.raises(ValueError, match="mated twice"):
+            MatchResult((0, 0, -1), pred_total=3)
+        with pytest.raises(ValueError, match="outside the prediction"):
+            MatchResult((0, 2), pred_total=2)
+        with pytest.raises(ValueError, match="outside the prediction"):
+            MatchResult((0, -2), pred_total=2)
+        result = MatchResult((1, -1, 0), pred_total=2)
+        assert (result.matched, result.gt_total) == (2, 3)
+        assert result.matched_pairs == ((0, 1), (2, 0))
 
 
 def csr_graph(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -742,6 +740,15 @@ class TestBinarize:
             assert np.array_equal(binarize(read, t).bits, expected), t
             assert np.array_equal(expected, (floats.values >= t) & (floats.values > 0.0)), t
 
+    def test_numpy_maxval_stored_as_int(self):
+        # A numpy maxval + 1 would wrap to 0 in uint16 and fire every pixel.
+        gm = GrayMap(np.array([[0, 1, 65535]], np.uint16), np.uint16(65535))
+        assert type(gm.maxval) is int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1.5, math.nan):
+                assert not binarize(gm, t).bits.any()
+
 
 class TestEvalConfig:
     def test_defaults(self):
@@ -900,6 +907,20 @@ class TestEvaluate:
             dataset, predictions = random_dataset(rng)
             summary = evaluate(predictions, dataset)
             assert summary.ois >= summary.ods - 1e-12
+
+    def test_sweep_reads_counts_only(self, monkeypatch):
+        # The sweep scores by the counts: no pair tuple is built.
+        cases = [two_image_fixture(), random_dataset(np.random.default_rng(11), n_images=4)]
+        expected = [evaluate(predictions, dataset) for dataset, predictions in cases]
+
+        def no_pairs(result):
+            raise AssertionError("matched_pairs read during evaluate")
+
+        monkeypatch.setattr(MatchResult, "matched_pairs", property(no_pairs))
+        with pytest.raises(AssertionError, match="matched_pairs read"):
+            MatchResult((0,), pred_total=1).matched_pairs
+        for (dataset, predictions), summary in zip(cases, expected):
+            assert evaluate(predictions, dataset) == summary
 
     def test_instance_order_permutation_invariance(self):
         first = flat_ring_instance(2, 7, 3, instance_id=1)
