@@ -228,7 +228,8 @@ def cmd_eval(args: argparse.Namespace) -> Outcome:
     print(f"ODS {summary.ods:.4f}")
     print(f"OIS {summary.ois:.4f}")
     inputs = {"annotations": str(args.annotations), "predictions": str(args.predictions)}
-    config = {"max_dist_fraction": cfg.max_dist_fraction, "thresholds": list(cfg.thresholds)}
+    thresholds = [pt.threshold for pt in summary.curve]
+    config = {"max_dist_fraction": cfg.max_dist_fraction, "thresholds": thresholds}
     return 0, inputs, config
 
 

@@ -187,6 +187,8 @@ def coef_head(queries: QuerySet, weight, bias) -> CoefSet:
         raise ValueError(f"weight rows {w.shape[0]} != query dim {queries.d}")
     if b.shape != (w.shape[1],):
         raise ValueError(f"bias shape {b.shape} != ({w.shape[1]},)")
+    if not np.isfinite(b).all():
+        raise ValueError("bias must be finite")
     return CoefSet(_sigmoid_open(queries.data @ w + b))
 
 

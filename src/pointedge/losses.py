@@ -9,6 +9,7 @@ objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,8 +51,8 @@ class FocalConfig:
     gamma: float = TUNNEL_VALUE
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise ValueError("alpha and beta must be >= 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be >= 0 and finite")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
 

@@ -23,18 +23,17 @@ __all__ = [
     "MatchResult",
     "PRPoint",
     "EvalSummary",
-    "EdgeIndex",
     "binarize",
     "thin",
     "edge_nodes",
-    "index_edges",
     "match_instance",
     "image_pr",
     "fscore",
     "evaluate",
 ]
 
-DEFAULT_THRESHOLDS = tuple(k / 20 for k in range(20))
+# The binarization sweep: 20 evenly spaced values in [0, 1), ascending.
+THRESHOLDS = tuple(k / 20 for k in range(20))
 
 
 @dataclass(frozen=True)
@@ -43,21 +42,14 @@ class EvalConfig:
 
     ``max_dist_fraction`` scales the image diagonal into the maximum
     node-matching distance ``d = sqrt(H^2 + W^2) * fraction``; 0.0075 is the
-    long-standing boundary-benchmark convention. ``thresholds`` is the
-    binarization sweep, by default 20 evenly spaced values in [0, 1).
+    long-standing boundary-benchmark convention.
     """
 
     max_dist_fraction: float = 0.0075
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
         if not (0.0 < self.max_dist_fraction < 1.0):
             raise ValueError("max_dist_fraction must be in (0, 1)")
-        if not self.thresholds:
-            raise ValueError("thresholds must be non-empty")
-        for t in self.thresholds:
-            if not (0.0 <= t < 1.0):
-                raise ValueError(f"threshold {t} outside [0, 1)")
 
     def max_distance(self, height: int, width: int) -> float:
         return math.hypot(height, width) * self.max_dist_fraction
@@ -341,30 +333,11 @@ def thin(edges: BitMap) -> BitMap:
 
 def edge_nodes(edges: BitMap) -> np.ndarray:
     """Set-pixel coordinates as an (n, 2) array of (row, col), row-major order."""
-    return np.stack(np.divmod(np.flatnonzero(edges.bits), edges.width), axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeIndex:
-    """A map's edge nodes, prepared once to be matched against many maps.
-
-    ``shape`` is the map's (H, W) and ``nodes`` its read-only
-    :func:`edge_nodes` array. Build one with :func:`index_edges`.
-    """
-
-    shape: tuple[int, int]
-    nodes: np.ndarray
-
-
-def index_edges(edges: BitMap) -> EdgeIndex:
-    """The :class:`EdgeIndex` of a (thinned) map: its nodes, taken once."""
-    nodes = edge_nodes(edges)
-    nodes.flags.writeable = False
-    return EdgeIndex(edges.bits.shape, nodes)
+    return np.stack(np.divmod(edges.flat, edges.width), axis=1)
 
 
 def _candidates(
-    gt: EdgeIndex, pred_flat: np.ndarray, d: float
+    gt: BitMap, pred_flat: np.ndarray, d: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidate graph as CSR ``(indptr, indices)``: row i lists, in
     ascending order, the pred nodes strictly closer than ``d`` to gt node i.
@@ -376,7 +349,7 @@ def _candidates(
     ``pred_flat``, found by two binary searches; rows outside the frame give
     empty runs. Memory is O(gt nodes x rows within ``d`` + candidate pairs).
     """
-    height, width = gt.shape
+    height, width = gt.bits.shape
     # No row offset reaches past the frame, and every dy < d keeps dx = 0.
     dy = np.arange(min(math.ceil(d), height))
     # Start one past the float estimate; step back until the exact test holds.
@@ -385,13 +358,13 @@ def _candidates(
         dx -= outside
     rows = np.concatenate((-dy[:0:-1], dy))
     reach = np.concatenate((dx[:0:-1], dx))
-    gy, gx = gt.nodes[:, :1], gt.nodes[:, 1:]
+    gy, gx = np.divmod(gt.flat[:, None], width)
     base = (gy + rows) * width
     start = np.searchsorted(pred_flat, base + np.maximum(gx - reach, 0)).ravel()
     stop = np.searchsorted(pred_flat, base + np.minimum(gx + reach, width - 1) + 1).ravel()
     count = stop - start
     ends = np.cumsum(count)  # runs ordered by gt node, then by image row
-    indptr = np.zeros(len(gt.nodes) + 1, dtype=np.int32)
+    indptr = np.zeros(len(gt.flat) + 1, dtype=np.int32)
     indptr[1:] = ends[len(rows) - 1::len(rows)]
     indices = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
     return indptr, indices.astype(np.int32)
@@ -466,9 +439,7 @@ def _maximum_matching(
     return gt_mate
 
 
-def match_instance(
-    pred: BitMap, gt: BitMap | EdgeIndex, cfg: EvalConfig = EvalConfig()
-) -> MatchResult:
+def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> MatchResult:
     """Match predicted to ground-truth edge pixels, as many as possible.
 
     Candidate pairs are those with euclidean distance strictly below
@@ -478,21 +449,19 @@ def match_instance(
     :func:`_maximum_matching`): its count is fixed, but which pairs are
     chosen among ties is unspecified, and distances are never weighed.
 
-    ``gt`` is a map, indexed on the spot, or an :class:`EdgeIndex` built
-    once by :func:`index_edges` for a ground truth matched many times; the
-    result is the same either way. Candidates come from binary searches of
-    the prediction's flat pixel indices, one per gt node and image row
-    within reach (see :func:`_candidates`), so memory never grows as
+    Both maps are read through their :attr:`~pointedge.BitMap.flat`
+    indices, which a map computes once, so a ground truth matched against
+    many predictions is indexed once. Candidates come from binary searches
+    of the prediction's flat indices, one per gt node and image row within
+    reach (see :func:`_candidates`), so memory never grows as
     ``n_gt x n_pred``.
     """
-    if isinstance(gt, BitMap):
-        gt = index_edges(gt)
-    if pred.bits.shape != gt.shape:
+    if pred.bits.shape != gt.bits.shape:
         raise ValueError(
-            f"prediction shape {pred.bits.shape} != ground truth shape {gt.shape}"
+            f"prediction shape {pred.bits.shape} != ground truth shape {gt.bits.shape}"
         )
-    pred_flat = np.flatnonzero(pred.bits)
-    n_gt, n_pred = len(gt.nodes), len(pred_flat)
+    pred_flat = pred.flat
+    n_gt, n_pred = len(gt.flat), len(pred_flat)
     if n_gt == 0 or n_pred == 0:
         return MatchResult((-1,) * n_gt, pred_total=n_pred)
     indptr, indices = _candidates(gt, pred_flat, cfg.max_distance(*pred.bits.shape))
@@ -569,43 +538,39 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
     return _owned(graymap.levels >= _cut(graymap, threshold))
 
 
-def _slot_counts(
-    graymap: GrayMap | None,
-    gt: EdgeIndex,
-    cfg: EvalConfig,
-) -> np.ndarray:
+def _slot_counts(graymap: GrayMap | None, gt: BitMap, cfg: EvalConfig) -> np.ndarray:
     """One instance slot's (matched, predicted, GT) node counts, one row per
-    threshold of ``cfg.thresholds``.
+    threshold of :data:`THRESHOLDS`.
 
     A map's binarized maps shrink as the threshold rises, so two thresholds
     give the same one exactly when as many pixels fire at both. Those firing
-    counts are taken first; the sweep then runs in ascending order (stable,
-    so repeated thresholds are adjacent) and binarizes, thins and matches
-    only where the count changes. The counts compare the map's levels with
-    the same cut levels :func:`binarize` uses (see :func:`_cut`), first
-    keeping the levels that fire at the lowest threshold, so a map of PGM
-    samples is never turned into floats. Where nothing fires, as everywhere
-    for a missing map, the row is (0, 0, GT nodes) and nothing is called.
-    Every other distinct map is thinned by :func:`thin`, the whole frame
-    included (see there for how it thins a solid rectangle). A row needs
+    counts are taken first; the sweep then walks the ascending thresholds
+    and binarizes, thins and matches only where the count changes. The
+    counts compare the map's levels with the same cut levels
+    :func:`binarize` uses (see :func:`_cut`), first keeping the levels that
+    fire at the lowest threshold, so a map of PGM samples is never turned
+    into floats. Where nothing fires, as everywhere for a missing map, the
+    row is (0, 0, GT nodes) and nothing is called. Every other distinct map
+    is thinned by :func:`thin`, the whole frame included (see there for how
+    it thins a solid rectangle), and matched against the one thinned ``gt``
+    map, whose flat indices are computed on the first read. A row needs
     only how many nodes match, which is the size of the maximum matching
     :func:`match_instance` returns, whichever pairs it chose.
     """
-    counts = np.tile([0, 0, len(gt.nodes)], (len(cfg.thresholds), 1))
+    counts = np.tile([0, 0, len(gt.flat)], (len(THRESHOLDS), 1))
     if graymap is None:
         return counts
-    order = np.argsort(cfg.thresholds, kind="stable").tolist()
-    cuts = [_cut(graymap, cfg.thresholds[i]) for i in order]
+    cuts = [_cut(graymap, t) for t in THRESHOLDS]
     levels = graymap.levels
     fires = levels[levels >= cuts[0]]  # the cuts ascend with the thresholds
     fired = [np.count_nonzero(fires >= cut) for cut in cuts]
     del fires
     previous = None
-    for i, n in zip(order, fired):
+    for i, (t, n) in enumerate(zip(THRESHOLDS, fired)):
         if n == 0:
             break
         if n != previous:
-            edges = thin(binarize(graymap, cfg.thresholds[i]))
+            edges = thin(binarize(graymap, t))
             result = match_instance(edges, gt, cfg)
             row = (result.matched, result.pred_total, result.gt_total)
             previous = n
@@ -622,11 +587,12 @@ def _image_counts(
 
     The slots are scored one at a time, in instance order. A slot's map is
     looked up, and its size checked, when the slot starts, and released
-    when the slot ends; its ground truth is thinned and indexed once (see
-    :func:`index_edges`).
+    when the slot ends; its ground truth is rasterized and thinned once,
+    and that one map goes to every match of the slot, so its flat indices
+    are taken once (see :attr:`~pointedge.BitMap.flat`).
     """
     shape = (image.height, image.width)
-    counts = np.empty((len(image.instances), len(cfg.thresholds), 3), dtype=np.intp)
+    counts = np.empty((len(image.instances), len(THRESHOLDS), 3), dtype=np.intp)
     for slot, inst in enumerate(image.instances):
         graymap = inst_maps.get(inst.instance_id)
         if graymap is not None and graymap.levels.shape != shape:
@@ -635,7 +601,7 @@ def _image_counts(
                 f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"
             )
         try:
-            gt = index_edges(thin(rasterize_polyline(inst, *shape)))
+            gt = thin(rasterize_polyline(inst, *shape))
             counts[slot] = _slot_counts(graymap, gt, cfg)
         except (ValueError, MemoryError) as exc:  # an image too large to allocate
             raise ValueError(
@@ -681,10 +647,10 @@ def evaluate(
                     f"image {image_id}: prediction for unknown instance_id {instance_id}"
                 )
     # Precision, recall and F of each image at each threshold.
-    per_image = np.empty((len(by_id), len(cfg.thresholds), 3))
+    per_image = np.empty((len(by_id), len(THRESHOLDS), 3))
     for row, image_id in enumerate(sorted(by_id)):
         counts = _image_counts(by_id[image_id], predictions.get(image_id, {}), cfg)
-        for i in range(len(cfg.thresholds)):
+        for i in range(len(THRESHOLDS)):
             precision, recall = image_pr(counts[:, i])
             per_image[row, i] = precision, recall, fscore(precision, recall)
     mean_p, mean_r, mean_f = per_image.mean(axis=0).T
@@ -695,7 +661,7 @@ def evaluate(
             recall=float(mean_r[i]),
             fscore=fscore(float(mean_p[i]), float(mean_r[i])),
         )
-        for i, t in enumerate(cfg.thresholds)
+        for i, t in enumerate(THRESHOLDS)
     )
     return EvalSummary(
         curve=curve,

@@ -2,12 +2,13 @@
 
 GrayMaps are stored with maxval 65535 (two big-endian bytes per sample,
 sample = round(value * 65535)). The reader accepts any maxval in [1, 65535]
-and '#' comments in the header, and hands the samples themselves, with their
-maxval, to the map it returns.
+and '#' comments in the header, each ending at CR or LF, and hands the
+samples themselves, with their maxval, to the map it returns.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,13 @@ from .raster import GrayMap
 __all__ = ["read_graymap", "write_graymap"]
 
 GRAY_MAXVAL = 65535
+
+# The netpbm header: the magic, then width, height and maxval, each after
+# at least one separator, and one whitespace byte before the samples. A
+# separator is whitespace or a comment, '#' through the next CR or LF. No
+# file holds 10^20 samples, and int() refuses very long digit runs.
+_SEPARATED_NUMBER = rb"(?:\s|#[^\r\n]*[\r\n])+(\d{1,20})"
+_HEADER = re.compile(rb"P5" + _SEPARATED_NUMBER * 3 + rb"\s")
 
 
 def write_graymap(graymap: GrayMap, path: str | Path) -> None:
@@ -37,32 +45,16 @@ def _read_raw(path: str | Path) -> tuple[np.ndarray, int]:
     data = Path(path).read_bytes()
     if data[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
-    # Tokenize the header: three whitespace-separated integers after the
-    # magic, with '#' starting a comment through end of line.
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        # No file holds 10^20 samples, and int() refuses very long digit runs.
-        if not token.isdigit() or len(token) > 20:
-            raise ValueError(f"{path}: malformed PGM header near byte {start}")
-        fields.append(int(token))
-    width, height, maxval = fields
+    header = _HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: malformed PGM header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1 or not (1 <= maxval <= 65535):
         raise ValueError(f"{path}: invalid PGM dimensions {width}x{height} maxval {maxval}")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end()
     dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
     count = width * height
-    found = max(len(data) - pos, 0)
+    found = len(data) - pos
     if found != count * dtype.itemsize:
         raise ValueError(
             f"{path}: expected {count} samples of {dtype.itemsize} byte(s), "

@@ -46,10 +46,13 @@ class BitMap:
     A bool ndarray that is already read-only and owns its memory is kept as
     it is, so a function that built it hands it over without a copy; any
     other input (a writable array, a view, 0/1 integers or a list) is
-    copied, so no caller's later writes reach the map.
+    copied, so no caller's later writes reach the map. ``flat`` holds the
+    set pixels' flat indices in ascending order, computed on first read
+    and then kept read-only.
     """
 
     bits: np.ndarray
+    _flat: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = self.bits
@@ -62,6 +65,15 @@ class BitMap:
             raise ValueError(f"BitMap needs a 2-D grid, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The set pixels' sorted flat indices, read-only, taken on first use."""
+        if self._flat is None:
+            flat = np.flatnonzero(self.bits)
+            flat.flags.writeable = False
+            object.__setattr__(self, "_flat", flat)
+        return self._flat
 
     @property
     def height(self) -> int:

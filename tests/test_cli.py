@@ -292,6 +292,9 @@ class TestEval:
         manifest = read_run_manifest(out)
         assert manifest["command"] == "eval"
         assert manifest["config"]["max_dist_fraction"] == 0.0075
+        curve = [line.split()[1] for line in report if line.startswith("  threshold ")]
+        assert len(curve) == 20
+        assert manifest["config"]["thresholds"] == [float(t) for t in curve]
 
     def test_scores_the_samples_without_their_float_values(
         self, ann_path, tmp_path, capsys, monkeypatch

@@ -1,5 +1,6 @@
 """Tests for the reference forward kernels and the attention cost model."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -118,6 +119,14 @@ class TestCoefHead:
             coef_head(queries, np.ones((4, 5)), np.ones(5))
         with pytest.raises(ValueError):
             coef_head(queries, np.ones((3, 5)), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bias_is_named(self, bad):
+        queries = QuerySet(np.ones((2, 3)))
+        bias = np.zeros(5)
+        bias[2] = bad
+        with pytest.raises(ValueError, match="^bias must be finite$"):
+            coef_head(queries, np.ones((3, 5)), bias)
 
 
 class TestDenseHead:

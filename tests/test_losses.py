@@ -148,8 +148,13 @@ class TestPenaltyReducedFocal:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FocalConfig(alpha=-1.0)
-        for bad in ({"alpha": math.nan}, {"beta": math.nan}):
-            with pytest.raises(ValueError, match="alpha and beta must be >= 0"):
+        for bad in (
+            {"alpha": math.nan},
+            {"beta": math.nan},
+            {"alpha": math.inf},
+            {"beta": math.inf},
+        ):
+            with pytest.raises(ValueError, match="alpha and beta must be >= 0 and finite"):
                 FocalConfig(**bad)
         with pytest.raises(ValueError):
             FocalConfig(gamma=0.0)

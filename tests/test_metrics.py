@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import pointedge.metrics
 from pointedge import (
     BitMap,
-    EdgeIndex,
     EvalConfig,
     GrayMap,
     MatchResult,
@@ -25,14 +24,13 @@ from pointedge import (
     evaluate,
     fscore,
     image_pr,
-    index_edges,
     match_instance,
     rasterize_polyline,
     read_graymap,
     thin,
     write_graymap,
 )
-from pointedge.metrics import _DELETABLE
+from pointedge.metrics import _DELETABLE, THRESHOLDS
 
 from helpers import (
     _full_frame_codes,
@@ -248,14 +246,15 @@ def clustered_nodes(draw) -> tuple[list, list, EvalConfig]:
 
 
 def match_both(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> MatchResult:
-    """``match_instance`` with the ground truth given as a map and as its index.
+    """``match_instance`` called on both sides of the maps keeping their
+    flat indices: the first call takes them, the second reads them.
 
-    The two forms must give equal results: counts, totals and the chosen
+    The two calls must give equal results: counts, totals and the chosen
     pairs. The pairs must be one-to-one, sorted by gt index and strictly
     within ``d``. Returns the result.
     """
     result = match_instance(pred, gt, cfg)
-    assert match_instance(pred, index_edges(gt), cfg) == result
+    assert match_instance(pred, gt, cfg) == result
     gt_side = [g for g, _ in result.matched_pairs]
     pred_side = [p for _, p in result.matched_pairs]
     assert gt_side == sorted(set(gt_side))
@@ -419,13 +418,13 @@ class TestMatchInstance:
                     if math.dist(g, p) < d
                 ]
                 indptr, indices = pointedge.metrics._candidates(
-                    index_edges(BitMap(gt_bits)), np.flatnonzero(pred_bits), d
+                    BitMap(gt_bits), np.flatnonzero(pred_bits), d
                 )
                 rows = np.repeat(np.arange(len(gxy)), np.diff(indptr))
                 assert list(zip(rows.tolist(), indices.tolist())) == want
 
     def test_candidates_drop_a_pair_exactly_at_d(self):
-        gt = index_edges(bitmap_from_pixels(30, 40, [(10, 10)]))
+        gt = bitmap_from_pixels(30, 40, [(10, 10)])
         # Offsets (3, 4), (-3, -4), (0, 5) and (5, 0) lie at exactly 5;
         # (3, 3), the third node in row-major order, lies inside.
         pred = bitmap_from_pixels(30, 40, [(13, 14), (7, 6), (10, 15), (15, 10), (13, 13)])
@@ -457,7 +456,7 @@ class TestMatchInstance:
         gt = bitmap_from_pixels(30, 40, [(0, 0), (0, 39), (29, 39)])
         pred = bitmap_from_pixels(30, 40, [(0, 1), (15, 20), (29, 0), (29, 39)])
         indptr, _ = pointedge.metrics._candidates(
-            index_edges(gt), np.flatnonzero(pred.bits), cfg.max_distance(30, 40)
+            gt, np.flatnonzero(pred.bits), cfg.max_distance(30, 40)
         )
         assert np.diff(indptr).tolist() == [4, 4, 4]
         assert_optimal_match(pred, gt, cfg, dense_match)
@@ -490,10 +489,10 @@ class TestMatchInstance:
         flat[np.random.default_rng(5).choice(h * w, size=100_000, replace=False)] = True
         pred = BitMap(flat.reshape(h, w))
         results = []
-        for gt_side in (gt, index_edges(gt)):  # the map, then a prepared index
+        for _ in range(2):  # the first call takes the flat indices, the second reuses them
             tracemalloc.start()
             try:
-                results.append(match_instance(pred, gt_side))
+                results.append(match_instance(pred, gt))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -509,7 +508,7 @@ class TestMatchInstance:
         # node would be 600 x ~262k entries.
         h, w = 321, 481
         yy, xx = np.mgrid[0:h, 0:w]
-        gt = index_edges(thin(BitMap(np.abs(np.hypot(yy - 160, xx - 240) - 106) < 1.0)))
+        gt = thin(BitMap(np.abs(np.hypot(yy - 160, xx - 240) - 106) < 1.0))
         flat = np.zeros(h * w, dtype=bool)
         flat[np.random.default_rng(6).choice(h * w, size=200, replace=False)] = True
         pred = BitMap(flat.reshape(h, w))
@@ -553,20 +552,15 @@ class TestMatchInstance:
         pred = BitMap(np.zeros((4, 4), dtype=bool))
         gt = BitMap(np.zeros((5, 4), dtype=bool))
         message = r"prediction shape \(4, 4\) != ground truth shape \(5, 4\)"
-        for gt_side in (gt, index_edges(gt)):
-            with pytest.raises(ValueError, match=message):
-                match_instance(pred, gt_side)
+        with pytest.raises(ValueError, match=message):
+            match_instance(pred, gt)
 
     def test_index_holds_the_edge_nodes(self):
+        # The nodes are the map's flat indices as (row, col), row-major.
         gt = bitmap_from_pixels(6, 7, [(4, 1), (0, 5), (4, 0)])
-        index = index_edges(gt)
-        assert isinstance(index, EdgeIndex)
-        assert index.shape == (6, 7)
-        assert index.nodes.tolist() == [[0, 5], [4, 0], [4, 1]]
-        assert not index.nodes.flags.writeable
-        empty = index_edges(BitMap(np.zeros((6, 7), dtype=bool)))
-        assert empty.shape == (6, 7)
-        assert empty.nodes.shape == (0, 2)
+        assert edge_nodes(gt).tolist() == [[0, 5], [4, 0], [4, 1]]
+        assert gt.flat.tolist() == [5, 28, 29]
+        assert edge_nodes(BitMap(np.zeros((6, 7), dtype=bool))).shape == (0, 2)
 
     def test_match_result_validation(self):
         with pytest.raises(ValueError, match="mated twice"):
@@ -730,7 +724,7 @@ class TestBinarize:
         )
         levels = ks / maxval
         thresholds = [
-            *EvalConfig().thresholds,
+            *THRESHOLDS,
             *levels, *np.nextafter(levels, -np.inf), *np.nextafter(levels, np.inf),
             0.0, -0.5, 5e-324, 1.0, 1.5, np.nan,
         ]
@@ -754,15 +748,11 @@ class TestEvalConfig:
     def test_defaults(self):
         cfg = EvalConfig()
         assert cfg.max_dist_fraction == 0.0075
-        assert cfg.thresholds == tuple(k / 20 for k in range(20))
+        assert THRESHOLDS == tuple(k / 20 for k in range(20))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(max_dist_fraction=0.0)
-        with pytest.raises(ValueError):
-            EvalConfig(thresholds=())
-        with pytest.raises(ValueError):
-            EvalConfig(thresholds=(0.5, 1.0))
 
 
 class RecordingMaps(Mapping):
@@ -827,7 +817,7 @@ class TestEvaluate:
         cfg = EvalConfig()
         summary = evaluate(read, dataset, cfg)
         assert summary == evaluate(floats, dataset, cfg)
-        ods, ois, curve = eval_oracle(floats, dataset, cfg.thresholds, cfg.max_dist_fraction)
+        ods, ois, curve = eval_oracle(floats, dataset, THRESHOLDS, cfg.max_dist_fraction)
         assert summary.ods == pytest.approx(ods, abs=1e-9)
         assert summary.ois == pytest.approx(ois, abs=1e-9)
 
@@ -882,7 +872,7 @@ class TestEvaluate:
         cfg = EvalConfig()
         summary = evaluate(predictions, dataset, cfg)
         ods, ois, curve = eval_oracle(
-            predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
+            predictions, dataset, THRESHOLDS, cfg.max_dist_fraction
         )
         assert summary.ods == pytest.approx(ods, abs=1e-9)
         assert summary.ois == pytest.approx(ois, abs=1e-9)
@@ -1013,7 +1003,7 @@ class TestEvaluate:
             if isinstance(event[0], int):
                 slot = event
             else:
-                assert np.array_equal(event[1].nodes, gt_nodes[slot])
+                assert np.array_equal(edge_nodes(event[1]), gt_nodes[slot])
 
     def test_unknown_instance_rejected_before_any_lookup(self):
         dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
@@ -1042,7 +1032,7 @@ class TestEvaluate:
         distinct = {
             (instance_id, binarize(graymap, t).bits.tobytes())
             for instance_id, graymap in predictions[1].items()
-            for t in cfg.thresholds
+            for t in THRESHOLDS
             if binarize(graymap, t).bits.any()
         }
         assert len(distinct) == 2 + 3 + 3
@@ -1058,7 +1048,7 @@ class TestEvaluate:
         assert everywhere == 2
         assert sum(edges.bits.all() for edges, in calls["thin"]) == everywhere
         ods, ois, curve = eval_oracle(
-            predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
+            predictions, dataset, THRESHOLDS, cfg.max_dist_fraction
         )
         assert summary.ods == pytest.approx(ods, abs=1e-9)
         assert summary.ois == pytest.approx(ois, abs=1e-9)
@@ -1080,7 +1070,7 @@ class TestEvaluate:
         scored = build_tunnel_target(first, 16, 16).map
         predictions = {1: {1: scored, 3: GrayMap(np.zeros((16, 16)))}}
         cfg = EvalConfig()
-        distinct = {binarize(scored, t).bits.tobytes() for t in cfg.thresholds}
+        distinct = {binarize(scored, t).bits.tobytes() for t in THRESHOLDS}
         assert len(distinct) == 2
 
         calls = count_calls(monkeypatch, pointedge.metrics, "binarize", "thin", "match_instance")
@@ -1091,9 +1081,10 @@ class TestEvaluate:
         assert len(calls["thin"]) == len(distinct) + len(image.instances)
         assert len(calls["match_instance"]) == len(distinct)
         gt = edge_nodes(thin(rasterize_polyline(first, 16, 16)))
-        assert all(np.array_equal(index.nodes, gt) for _, index, _ in calls["match_instance"])
+        for _, gt_map, _ in calls["match_instance"]:
+            assert np.array_equal(edge_nodes(gt_map), gt)
         ods, ois, curve = eval_oracle(
-            predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
+            predictions, dataset, THRESHOLDS, cfg.max_dist_fraction
         )
         assert summary.ods == pytest.approx(ods, abs=1e-9)
         assert summary.ois == pytest.approx(ois, abs=1e-9)
@@ -1141,7 +1132,7 @@ class TestEvaluate:
             for bits in whole:
                 assert np.array_equal(bits, reference_thin(np.ones(bits.shape, dtype=bool)))
         assert summaries[0] == summaries[1]
-        ods, ois, curve = eval_oracle(predictions, dataset, cfg.thresholds, cfg.max_dist_fraction)
+        ods, ois, curve = eval_oracle(predictions, dataset, THRESHOLDS, cfg.max_dist_fraction)
         assert summaries[0].ods == pytest.approx(ods, abs=1e-9)
         assert summaries[0].ois == pytest.approx(ois, abs=1e-9)
         for pt, (t, p, r, f) in zip(summaries[0].curve, curve):
@@ -1150,23 +1141,33 @@ class TestEvaluate:
             )
 
     def test_each_ground_truth_indexed_once(self, monkeypatch):
-        # Each ground-truth slot is indexed once, however many predicted
-        # maps are matched against it.
+        # Every match of a slot gets that slot's one ground-truth map, and
+        # its flat indices are the same array on each read: taken once,
+        # however many predicted maps are matched against it.
         dataset, predictions = random_dataset(np.random.default_rng(8), n_images=3)
-        calls = count_calls(monkeypatch, pointedge.metrics, "index_edges", "match_instance")
+        seen, real = [], pointedge.metrics.match_instance
+
+        def recording(pred, gt, cfg):
+            seen.append((gt, gt.flat))
+            return real(pred, gt, cfg)
+
+        monkeypatch.setattr(pointedge.metrics, "match_instance", recording)
         evaluate(predictions, dataset)
         monkeypatch.undo()
 
         slots = sum(len(image.instances) for image in dataset.images)
-        assert len(calls["match_instance"]) > slots
-        assert len(calls["index_edges"]) == slots
-        assert all(isinstance(gt, EdgeIndex) for _, gt, _ in calls["match_instance"])
+        assert len(seen) > slots
+        # One run of consecutive calls per slot, each with its own map.
+        runs = [gt for i, (gt, _) in enumerate(seen) if i == 0 or gt is not seen[i - 1][0]]
+        assert len(runs) <= slots
+        assert len({id(gt) for gt in runs}) == len(runs)
+        assert all(flat is gt.flat for gt, flat in seen)
 
     @pytest.mark.parametrize("source", ["two_image_fixture", 0, 1, 2, 3])
     def test_unsorted_repeated_thresholds_match_oracle(self, source):
-        # Few levels make many thresholds give the same binarized map; the
-        # sweep is unsorted and repeats a value, so results must land on
-        # their own thresholds whatever order they are computed in.
+        # Few levels make many thresholds of the sweep give the same
+        # binarized map, so one matched map fills a run of rows: each
+        # result must still land on its own threshold.
         if source == "two_image_fixture":
             dataset, predictions = two_image_fixture()
         else:
@@ -1181,10 +1182,10 @@ class TestEvaluate:
                 }
                 for image_id, maps in predictions.items()
             }
-        cfg = EvalConfig(thresholds=(0.5, 0.0, 0.7, 0.5, 0.05, 0.95, 0.69))
+        cfg = EvalConfig()
         summary = evaluate(predictions, dataset, cfg)
         ods, ois, curve = eval_oracle(
-            predictions, dataset, cfg.thresholds, cfg.max_dist_fraction
+            predictions, dataset, THRESHOLDS, cfg.max_dist_fraction
         )
         assert summary.ods == pytest.approx(ods, abs=1e-9)
         assert summary.ois == pytest.approx(ois, abs=1e-9)

@@ -81,6 +81,22 @@ class TestReaderRobustness:
         path.write_bytes(b"P5\n# made by hand\n2 1\n# again\n1\n" + bytes([1, 0]))
         assert read_graymap(path).values.tolist() == [[1.0, 0.0]]
 
+    def test_magic_must_be_followed_by_whitespace(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P52 1 255\n" + bytes([0, 255]))
+        with pytest.raises(ValueError, match="malformed PGM header"):
+            read_graymap(path)
+
+    def test_comment_may_follow_a_number_directly(self, tmp_path):
+        path = tmp_path / "n.pgm"
+        path.write_bytes(b"P5\n2#c\n1 255\n" + bytes([0, 255]))
+        assert read_graymap(path).values.tolist() == [[0.0, 1.0]]
+
+    def test_comment_ends_at_carriage_return(self, tmp_path):
+        path = tmp_path / "r.pgm"
+        path.write_bytes(b"P5\n#c\r2 1 255\n" + bytes([0, 255]))
+        assert read_graymap(path).values.tolist() == [[0.0, 1.0]]
+
     def test_low_maxval_scaling(self, tmp_path):
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))

@@ -72,6 +72,18 @@ class TestBitMapGrayMap:
         with pytest.raises(ValueError, match="0 or 1"):
             BitMap(bad)
 
+    def test_bitmap_flat_is_its_sorted_read_only_set_pixels(self):
+        bits = np.random.default_rng(3).random((9, 13)) < 0.3
+        bm = BitMap(bits)
+        flat = bm.flat
+        assert np.array_equal(flat, np.flatnonzero(bits))
+        assert (np.diff(flat) > 0).all()
+        assert not flat.flags.writeable
+        assert bm.flat is flat
+        empty = BitMap(np.zeros((4, 5), dtype=bool)).flat
+        assert empty.shape == (0,)
+        assert not empty.flags.writeable
+
     def test_graymap_range_enforced(self):
         with pytest.raises(ValueError):
             GrayMap([[0.5, 1.2]])
