@@ -337,19 +337,21 @@ def edge_nodes(edges: BitMap) -> np.ndarray:
 
 
 def _candidates(
-    gt: BitMap, pred_flat: np.ndarray, d: float
+    gt_flat: np.ndarray, pred_flat: np.ndarray, shape: tuple[int, int], d: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidate graph as CSR ``(indptr, indices)``: row i lists, in
     ascending order, the pred nodes strictly closer than ``d`` to gt node i.
 
-    ``pred_flat`` holds the prediction's sorted flat pixel indices. For each
-    row offset ``dy``, ``reach`` is the largest ``dx`` that passes the float64
-    test ``np.sqrt(dy*dy + dx*dx) < d``, so pairs at exactly ``d`` never
-    match. Within one row a gt node's candidates are one contiguous run of
+    ``gt_flat`` and ``pred_flat`` hold the two maps' sorted flat pixel
+    indices in a frame of ``shape``; the gt rows and columns are derived
+    from ``gt_flat`` on each call. For each row offset ``dy``, ``reach`` is
+    the largest ``dx`` that passes the float64 test
+    ``np.sqrt(dy*dy + dx*dx) < d``, so pairs at exactly ``d`` never match.
+    Within one row a gt node's candidates are one contiguous run of
     ``pred_flat``, found by two binary searches; rows outside the frame give
     empty runs. Memory is O(gt nodes x rows within ``d`` + candidate pairs).
     """
-    height, width = gt.bits.shape
+    height, width = shape
     # No row offset reaches past the frame, and every dy < d keeps dx = 0.
     dy = np.arange(min(math.ceil(d), height))
     # Start one past the float estimate; step back until the exact test holds.
@@ -358,13 +360,13 @@ def _candidates(
         dx -= outside
     rows = np.concatenate((-dy[:0:-1], dy))
     reach = np.concatenate((dx[:0:-1], dx))
-    gy, gx = np.divmod(gt.flat[:, None], width)
+    gy, gx = np.divmod(gt_flat[:, None], width)
     base = (gy + rows) * width
     start = np.searchsorted(pred_flat, base + np.maximum(gx - reach, 0)).ravel()
     stop = np.searchsorted(pred_flat, base + np.minimum(gx + reach, width - 1) + 1).ravel()
     count = stop - start
     ends = np.cumsum(count)  # runs ordered by gt node, then by image row
-    indptr = np.zeros(len(gt.flat) + 1, dtype=np.int32)
+    indptr = np.zeros(len(gt_flat) + 1, dtype=np.int32)
     indptr[1:] = ends[len(rows) - 1::len(rows)]
     indices = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
     return indptr, indices.astype(np.int32)
@@ -451,20 +453,19 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
 
     Both maps are read through their :attr:`~pointedge.BitMap.flat`
     indices, which a map computes once, so a ground truth matched against
-    many predictions is indexed once. Candidates come from binary searches
-    of the prediction's flat indices, one per gt node and image row within
-    reach (see :func:`_candidates`), so memory never grows as
+    many predictions has its flat indices taken once; the gt rows and
+    columns are derived from them on each call. Candidates come from binary
+    searches of the prediction's flat indices, one per gt node and image row
+    within reach (see :func:`_candidates`), so memory never grows as
     ``n_gt x n_pred``.
     """
-    if pred.bits.shape != gt.bits.shape:
-        raise ValueError(
-            f"prediction shape {pred.bits.shape} != ground truth shape {gt.bits.shape}"
-        )
-    pred_flat = pred.flat
-    n_gt, n_pred = len(gt.flat), len(pred_flat)
+    shape = pred.bits.shape
+    if shape != gt.bits.shape:
+        raise ValueError(f"prediction shape {shape} != ground truth shape {gt.bits.shape}")
+    n_gt, n_pred = len(gt.flat), len(pred.flat)
     if n_gt == 0 or n_pred == 0:
         return MatchResult((-1,) * n_gt, pred_total=n_pred)
-    indptr, indices = _candidates(gt, pred_flat, cfg.max_distance(*pred.bits.shape))
+    indptr, indices = _candidates(gt.flat, pred.flat, shape, cfg.max_distance(*shape))
     return MatchResult(tuple(_maximum_matching(indptr, indices, n_pred)), pred_total=n_pred)
 
 
@@ -553,7 +554,8 @@ def _slot_counts(graymap: GrayMap | None, gt: BitMap, cfg: EvalConfig) -> np.nda
     row is (0, 0, GT nodes) and nothing is called. Every other distinct map
     is thinned by :func:`thin`, the whole frame included (see there for how
     it thins a solid rectangle), and matched against the one thinned ``gt``
-    map, whose flat indices are computed on the first read. A row needs
+    map, whose flat indices are computed on the first read; the thinned
+    prediction is kept only for its match. A row needs
     only how many nodes match, which is the size of the maximum matching
     :func:`match_instance` returns, whichever pairs it chose.
     """
@@ -570,8 +572,7 @@ def _slot_counts(graymap: GrayMap | None, gt: BitMap, cfg: EvalConfig) -> np.nda
         if n == 0:
             break
         if n != previous:
-            edges = thin(binarize(graymap, t))
-            result = match_instance(edges, gt, cfg)
+            result = match_instance(thin(binarize(graymap, t)), gt, cfg)
             row = (result.matched, result.pred_total, result.gt_total)
             previous = n
         counts[i] = row
@@ -587,9 +588,9 @@ def _image_counts(
 
     The slots are scored one at a time, in instance order. A slot's map is
     looked up, and its size checked, when the slot starts, and released
-    when the slot ends; its ground truth is rasterized and thinned once,
-    and that one map goes to every match of the slot, so its flat indices
-    are taken once (see :attr:`~pointedge.BitMap.flat`).
+    when the slot ends, as is its thinned ground truth. That is rasterized
+    and thinned once, and the one map goes to every match of the slot, so
+    its flat indices are taken once (see :attr:`~pointedge.BitMap.flat`).
     """
     shape = (image.height, image.width)
     counts = np.empty((len(image.instances), len(THRESHOLDS), 3), dtype=np.intp)
@@ -607,7 +608,7 @@ def _image_counts(
             raise ValueError(
                 f"image {image.image_id} ({image.height}x{image.width}): {exc}"
             ) from exc
-        del graymap  # before the next slot's map is looked up
+        del graymap, gt  # before the next slot's map is looked up and its gt drawn
     return counts
 
 

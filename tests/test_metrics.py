@@ -418,7 +418,7 @@ class TestMatchInstance:
                     if math.dist(g, p) < d
                 ]
                 indptr, indices = pointedge.metrics._candidates(
-                    BitMap(gt_bits), np.flatnonzero(pred_bits), d
+                    np.flatnonzero(gt_bits), np.flatnonzero(pred_bits), (30, 40), d
                 )
                 rows = np.repeat(np.arange(len(gxy)), np.diff(indptr))
                 assert list(zip(rows.tolist(), indices.tolist())) == want
@@ -428,7 +428,7 @@ class TestMatchInstance:
         # Offsets (3, 4), (-3, -4), (0, 5) and (5, 0) lie at exactly 5;
         # (3, 3), the third node in row-major order, lies inside.
         pred = bitmap_from_pixels(30, 40, [(13, 14), (7, 6), (10, 15), (15, 10), (13, 13)])
-        indptr, indices = pointedge.metrics._candidates(gt, np.flatnonzero(pred.bits), 5.0)
+        indptr, indices = pointedge.metrics._candidates(gt.flat, pred.flat, (30, 40), 5.0)
         assert indptr.tolist() == [0, 1]
         assert indices.tolist() == [2]
 
@@ -456,7 +456,7 @@ class TestMatchInstance:
         gt = bitmap_from_pixels(30, 40, [(0, 0), (0, 39), (29, 39)])
         pred = bitmap_from_pixels(30, 40, [(0, 1), (15, 20), (29, 0), (29, 39)])
         indptr, _ = pointedge.metrics._candidates(
-            gt, np.flatnonzero(pred.bits), cfg.max_distance(30, 40)
+            gt.flat, pred.flat, (30, 40), cfg.max_distance(30, 40)
         )
         assert np.diff(indptr).tolist() == [4, 4, 4]
         assert_optimal_match(pred, gt, cfg, dense_match)
@@ -1141,27 +1141,41 @@ class TestEvaluate:
             )
 
     def test_each_ground_truth_indexed_once(self, monkeypatch):
-        # Every match of a slot gets that slot's one ground-truth map, and
-        # its flat indices are the same array on each read: taken once,
-        # however many predicted maps are matched against it.
+        # Every slot gets its own ground-truth map, every match of the slot
+        # gets that map, and its flat indices are computed once however many
+        # predicted maps are matched against it. Computations are counted
+        # at np.flatnonzero, whatever reads them.
         dataset, predictions = random_dataset(np.random.default_rng(8), n_images=3)
-        seen, real = [], pointedge.metrics.match_instance
+        slot_gts, matched_gts, indexed = [], [], []
+        real_slot, real_match, real_flatnonzero = (
+            pointedge.metrics._slot_counts, pointedge.metrics.match_instance, np.flatnonzero
+        )
 
-        def recording(pred, gt, cfg):
-            seen.append((gt, gt.flat))
-            return real(pred, gt, cfg)
+        def recording_slot(graymap, gt, cfg):
+            slot_gts.append(gt)
+            return real_slot(graymap, gt, cfg)
 
-        monkeypatch.setattr(pointedge.metrics, "match_instance", recording)
+        def recording_match(pred, gt, cfg):
+            matched_gts.append((len(slot_gts), gt))
+            return real_match(pred, gt, cfg)
+
+        def recording_flatnonzero(a):
+            indexed.append(a)
+            return real_flatnonzero(a)
+
+        monkeypatch.setattr(pointedge.metrics, "_slot_counts", recording_slot)
+        monkeypatch.setattr(pointedge.metrics, "match_instance", recording_match)
+        monkeypatch.setattr(np, "flatnonzero", recording_flatnonzero)
         evaluate(predictions, dataset)
         monkeypatch.undo()
 
         slots = sum(len(image.instances) for image in dataset.images)
-        assert len(seen) > slots
-        # One run of consecutive calls per slot, each with its own map.
-        runs = [gt for i, (gt, _) in enumerate(seen) if i == 0 or gt is not seen[i - 1][0]]
-        assert len(runs) <= slots
-        assert len({id(gt) for gt in runs}) == len(runs)
-        assert all(flat is gt.flat for gt, flat in seen)
+        assert len(slot_gts) == slots
+        assert len({id(gt) for gt in slot_gts}) == slots
+        assert len(matched_gts) > slots
+        assert all(gt is slot_gts[slot - 1] for slot, gt in matched_gts)
+        assert [sum(a is gt.bits for a in indexed) for gt in slot_gts] == [1] * slots
+        assert all(gt.flat is gt.flat for gt in slot_gts)
 
     @pytest.mark.parametrize("source", ["two_image_fixture", 0, 1, 2, 3])
     def test_unsorted_repeated_thresholds_match_oracle(self, source):
