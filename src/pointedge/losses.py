@@ -142,7 +142,8 @@ def _dice_sums(pred, gt) -> tuple[np.ndarray, np.ndarray, float, float]:
     y = _grid(gt)
     if p.shape != y.shape:
         raise ValueError(f"prediction shape {p.shape} != target shape {y.shape}")
-    return p, y, float((p * p).sum() + (y * y).sum()), float((p * y).sum())
+    pf, yf = p.ravel(), y.ravel()  # dot products: no frame-sized product is built
+    return p, y, float(np.dot(pf, pf) + np.dot(yf, yf)), float(np.dot(pf, yf))
 
 
 def dice_loss(pred, gt) -> LossResult:
@@ -159,10 +160,9 @@ def dice_loss(pred, gt) -> LossResult:
             "dice loss undefined: prediction and target are both all-zero"
         )
     a = 2.0 * overlap
-    gradient = y * b  # -2 (y b - p a) / b^2, in the same operation order
-    gradient -= p * a
-    gradient *= -2.0
-    gradient /= b * b
+    gradient = p * (a / b)  # -2 (y b - p a) / b^2 as (p a / b - y) 2 / b, in place
+    gradient -= y
+    gradient *= 2.0 / b
     return LossResult(value=1.0 - a / b, gradient=gradient)
 
 

@@ -10,6 +10,7 @@ shared threshold) and OIS (mean of each image's best F).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -188,8 +189,8 @@ def _unset(
     them, which ``np.subtract.at`` applies in full.
     """
     a[gone] = False
-    near = (gone[:, None] + offsets).ravel()
-    np.subtract.at(codes, near, np.broadcast_to(_OPPOSITE_BITS, (len(gone), 8)).ravel())
+    near = (offsets[:, None] + gone).ravel()  # direction-major
+    np.subtract.at(codes, near, np.repeat(_OPPOSITE_BITS, len(gone)))
     for mark in marks:
         mark[near] = True
 
@@ -262,10 +263,15 @@ def _break_blocks(a: np.ndarray, codes: np.ndarray, marks: _Marks, offsets: np.n
     return broke
 
 
-def _owned(bits: np.ndarray) -> BitMap:
-    """Hand a freshly built bool array to a :class:`BitMap` without a copy."""
+def _owned(bits: np.ndarray, flat: np.ndarray | None = None) -> BitMap:
+    """Hand a freshly built bool array to a :class:`BitMap` without a copy,
+    and with it, where given, its set pixels' sorted flat indices."""
     bits.flags.writeable = False
-    return BitMap(bits)
+    edges = BitMap(bits)
+    if flat is not None:
+        flat.flags.writeable = False
+        object.__setattr__(edges, "_flat", flat)
+    return edges
 
 
 def thin(edges: BitMap) -> BitMap:
@@ -302,11 +308,16 @@ def thin(edges: BitMap) -> BitMap:
     tests check cover every rectangle. So ``thin`` skips the first
     (min(h, w) - 1) // 2 passes, which peel one ring each, and thins only
     the 1- or 2-pixel-thick core they leave: the output is the same.
+
+    The returned map carries its :attr:`~pointedge.BitMap.flat` already:
+    the set pixels' indices in the box grid, offset into the frame, so no
+    thinned map, prediction or ground truth, is scanned over the whole
+    frame for them.
     """
     out = np.zeros_like(edges.bits)
     rows = np.flatnonzero(edges.bits.any(axis=1))
     if not rows.size:
-        return _owned(out)
+        return _owned(out, np.empty(0, dtype=np.intp))
     cols = np.flatnonzero(edges.bits.any(axis=0))
     top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     if edges.bits[top:bottom, left:right].all():
@@ -324,7 +335,8 @@ def thin(edges: BitMap) -> BitMap:
         # The passes just reached a fixed point, so an unbroken map is final.
         if not _break_blocks(a, codes, marks, offsets):
             out[box] = a[1:-1, 1:-1]
-            return _owned(out)
+            y, x = np.divmod(np.flatnonzero(a), a.shape[1])
+            return _owned(out, (y + (top - 1)) * out.shape[1] + (x + (left - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +348,21 @@ def edge_nodes(edges: BitMap) -> np.ndarray:
     return np.stack(np.divmod(edges.flat, edges.width), axis=1)
 
 
-def _candidates(
-    gt_flat: np.ndarray, pred_flat: np.ndarray, shape: tuple[int, int], d: float
+def _windows(
+    gt_flat: np.ndarray, shape: tuple[int, int], d: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate graph as CSR ``(indptr, indices)``: row i lists, in
-    ascending order, the pred nodes strictly closer than ``d`` to gt node i.
+    """Each gt node's candidate windows as ``(lo, hi)``, two read-only arrays
+    of shape (gt nodes, rows within ``d``): in row ``dy`` of gt node i, the
+    pred nodes strictly closer than ``d`` are those whose flat index lies in
+    ``[lo[i, dy], hi[i, dy])``.
 
-    ``gt_flat`` and ``pred_flat`` hold the two maps' sorted flat pixel
-    indices in a frame of ``shape``; the gt rows and columns are derived
-    from ``gt_flat`` on each call. For each row offset ``dy``, ``reach`` is
-    the largest ``dx`` that passes the float64 test
-    ``np.sqrt(dy*dy + dx*dx) < d``, so pairs at exactly ``d`` never match.
-    Within one row a gt node's candidates are one contiguous run of
-    ``pred_flat``, found by two binary searches; rows outside the frame give
-    empty runs. Memory is O(gt nodes x rows within ``d`` + candidate pairs).
+    ``gt_flat`` holds the gt map's sorted flat pixel indices in a frame of
+    ``shape``. For each row offset ``dy``, ``reach`` is the largest ``dx``
+    that passes the float64 test ``np.sqrt(dy*dy + dx*dx) < d``, so pairs at
+    exactly ``d`` never match. A window is clipped to its row, and a row
+    outside the frame gives a window wholly below 0 or at or past
+    ``H * W``, which holds no pixel. Memory is O(gt nodes x rows within
+    ``d``).
     """
     height, width = shape
     # No row offset reaches past the frame, and every dy < d keeps dx = 0.
@@ -362,12 +375,48 @@ def _candidates(
     reach = np.concatenate((dx[:0:-1], dx))
     gy, gx = np.divmod(gt_flat[:, None], width)
     base = (gy + rows) * width
-    start = np.searchsorted(pred_flat, base + np.maximum(gx - reach, 0)).ravel()
-    stop = np.searchsorted(pred_flat, base + np.minimum(gx + reach, width - 1) + 1).ravel()
+    lo = np.maximum(gx - reach, 0)
+    lo += base
+    hi = np.minimum(gx + reach + 1, width)
+    hi += base
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+# Each ground truth's windows, with the ``d`` they were derived at; an entry
+# goes when its map does.
+_WINDOWS: weakref.WeakKeyDictionary[BitMap, tuple[float, np.ndarray, np.ndarray]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _gt_windows(gt: BitMap, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_windows` of ``gt`` at ``d``, derived once and kept for as long
+    as ``gt`` lives, or until it is matched at another ``d``."""
+    entry = _WINDOWS.get(gt)
+    if entry is None or entry[0] != d:
+        entry = _WINDOWS[gt] = (d, *_windows(gt.flat, gt.bits.shape, d))
+    return entry[1], entry[2]
+
+
+def _candidates(
+    lo: np.ndarray, hi: np.ndarray, pred_flat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate graph as CSR ``(indptr, indices)``: row i lists, in
+    ascending order, the pred nodes within gt node i's windows ``lo``,
+    ``hi`` (see :func:`_windows`).
+
+    ``pred_flat`` holds the prediction's sorted flat pixel indices, so each
+    window's candidates are one contiguous run of it, found by two binary
+    searches. Memory is O(gt nodes x rows within ``d`` + candidate pairs).
+    """
+    n_gt, n_rows = lo.shape
+    start = np.searchsorted(pred_flat, lo).ravel()
+    stop = np.searchsorted(pred_flat, hi).ravel()
     count = stop - start
     ends = np.cumsum(count)  # runs ordered by gt node, then by image row
-    indptr = np.zeros(len(gt_flat) + 1, dtype=np.int32)
-    indptr[1:] = ends[len(rows) - 1::len(rows)]
+    indptr = np.zeros(n_gt + 1, dtype=np.int32)
+    indptr[1:] = ends[n_rows - 1::n_rows]
     indices = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
     return indptr, indices.astype(np.int32)
 
@@ -452,11 +501,13 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
     chosen among ties is unspecified, and distances are never weighed.
 
     Both maps are read through their :attr:`~pointedge.BitMap.flat`
-    indices, which a map computes once, so a ground truth matched against
-    many predictions has its flat indices taken once; the gt rows and
-    columns are derived from them on each call. Candidates come from binary
-    searches of the prediction's flat indices, one per gt node and image row
-    within reach (see :func:`_candidates`), so memory never grows as
+    indices, which :func:`thin` hands over with the map it returns. The
+    ground truth's candidate windows, one per gt node and image row within
+    reach, are derived from its flat indices on its first match at a
+    distance and kept while the map lives (see :func:`_gt_windows`), so a
+    ground truth matched against many predictions has them derived once.
+    Each match then makes two binary searches of the prediction's flat
+    indices per window (see :func:`_candidates`), so memory never grows as
     ``n_gt x n_pred``.
     """
     shape = pred.bits.shape
@@ -465,7 +516,7 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
     n_gt, n_pred = len(gt.flat), len(pred.flat)
     if n_gt == 0 or n_pred == 0:
         return MatchResult((-1,) * n_gt, pred_total=n_pred)
-    indptr, indices = _candidates(gt.flat, pred.flat, shape, cfg.max_distance(*shape))
+    indptr, indices = _candidates(*_gt_windows(gt, cfg.max_distance(*shape)), pred.flat)
     return MatchResult(tuple(_maximum_matching(indptr, indices, n_pred)), pred_total=n_pred)
 
 
@@ -539,36 +590,48 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
     return _owned(graymap.levels >= _cut(graymap, threshold))
 
 
+def _firing_counts(graymap: GrayMap) -> list[int]:
+    """How many pixels fire at each threshold of :data:`THRESHOLDS`.
+
+    The counts compare the map's levels with the same cut levels
+    :func:`binarize` uses (see :func:`_cut`), so a map of PGM samples is
+    never turned into floats. Two passes over the frame: the first counts
+    the pixels at or above the lowest cut; the second keeps the levels at
+    or above the next cut, and the other thresholds are counted on those
+    alone, since the cuts ascend with the thresholds. So a never-zero map,
+    which fires everywhere at threshold 0, is compared whole only twice.
+    """
+    cuts = [_cut(graymap, t) for t in THRESHOLDS]
+    levels = graymap.levels
+    first = np.count_nonzero(levels >= cuts[0])
+    fires = levels[levels >= cuts[1]]
+    return [first] + [np.count_nonzero(fires >= cut) for cut in cuts[1:]]
+
+
 def _slot_counts(graymap: GrayMap | None, gt: BitMap, cfg: EvalConfig) -> np.ndarray:
     """One instance slot's (matched, predicted, GT) node counts, one row per
     threshold of :data:`THRESHOLDS`.
 
     A map's binarized maps shrink as the threshold rises, so two thresholds
     give the same one exactly when as many pixels fire at both. Those firing
-    counts are taken first; the sweep then walks the ascending thresholds
-    and binarizes, thins and matches only where the count changes. The
-    counts compare the map's levels with the same cut levels
-    :func:`binarize` uses (see :func:`_cut`), first keeping the levels that
-    fire at the lowest threshold, so a map of PGM samples is never turned
-    into floats. Where nothing fires, as everywhere for a missing map, the
-    row is (0, 0, GT nodes) and nothing is called. Every other distinct map
-    is thinned by :func:`thin`, the whole frame included (see there for how
-    it thins a solid rectangle), and matched against the one thinned ``gt``
-    map, whose flat indices are computed on the first read; the thinned
-    prediction is kept only for its match. A row needs
-    only how many nodes match, which is the size of the maximum matching
+    counts are taken first (see :func:`_firing_counts`); the sweep then
+    walks the ascending thresholds and binarizes, thins and matches only
+    where the count changes. Where nothing fires, as everywhere for a
+    missing map, the row is (0, 0, GT nodes) and nothing is called. Every
+    other distinct map is thinned by :func:`thin`, the whole frame included
+    (see there for how it thins a solid rectangle), and matched against the
+    one thinned ``gt`` map. Its flat indices came with it from
+    :func:`thin`, and its candidate windows are derived at its first match
+    and reused by every later one (see :func:`_gt_windows`); the thinned
+    prediction is kept only for its match. A row needs only how many nodes
+    match, which is the size of the maximum matching
     :func:`match_instance` returns, whichever pairs it chose.
     """
     counts = np.tile([0, 0, len(gt.flat)], (len(THRESHOLDS), 1))
     if graymap is None:
         return counts
-    cuts = [_cut(graymap, t) for t in THRESHOLDS]
-    levels = graymap.levels
-    fires = levels[levels >= cuts[0]]  # the cuts ascend with the thresholds
-    fired = [np.count_nonzero(fires >= cut) for cut in cuts]
-    del fires
     previous = None
-    for i, (t, n) in enumerate(zip(THRESHOLDS, fired)):
+    for i, (t, n) in enumerate(zip(THRESHOLDS, _firing_counts(graymap))):
         if n == 0:
             break
         if n != previous:
@@ -588,9 +651,10 @@ def _image_counts(
 
     The slots are scored one at a time, in instance order. A slot's map is
     looked up, and its size checked, when the slot starts, and released
-    when the slot ends, as is its thinned ground truth. That is rasterized
-    and thinned once, and the one map goes to every match of the slot, so
-    its flat indices are taken once (see :attr:`~pointedge.BitMap.flat`).
+    when the slot ends, as is its thinned ground truth, and with it the
+    candidate windows cached for it. That is rasterized and thinned once,
+    and the one map goes to every match of the slot, so its flat indices
+    and its windows are derived once (see :func:`_slot_counts`).
     """
     shape = (image.height, image.width)
     counts = np.empty((len(image.instances), len(THRESHOLDS), 3), dtype=np.intp)

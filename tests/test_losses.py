@@ -200,13 +200,18 @@ class TestDiceGrad:
         assert np.abs(dice_loss(y, y).gradient).max() == 0.0
 
     def test_bit_identical_to_the_textbook_formula(self):
+        # -2 (y b - p a) / b^2, taken as (p a / b - y) 2 / b with the sums
+        # as dot products; the first form's own rounding is a few ulp away.
         rng = np.random.default_rng(19)
         p = rng.uniform(0.0, 1.0, size=(7, 9))
         y = (rng.random((7, 9)) < 0.3).astype(float)
-        b = float((p * p).sum() + (y * y).sum())
-        a = 2.0 * float((p * y).sum())
-        want = -2.0 * (y * b - p * a) / (b * b)
-        assert np.array_equal(dice_loss(GrayMap(p), GrayMap(y)).gradient, want)
+        b = float(np.dot(p.ravel(), p.ravel()) + np.dot(y.ravel(), y.ravel()))
+        a = 2.0 * float(np.dot(p.ravel(), y.ravel()))
+        gradient = dice_loss(GrayMap(p), GrayMap(y)).gradient
+        assert np.array_equal(gradient, (p * (a / b) - y) * (2.0 / b))
+        textbook = -2.0 * (y * b - p * a) / (b * b)
+        assert np.abs(gradient - textbook).max() <= 8 * np.finfo(float).eps * np.abs(textbook).max()
+        assert dice_loss(GrayMap(p), GrayMap(y)).value == 1.0 - a / b
 
     def test_zero_when_gt_empty(self):
         grad = dice_loss([[0.2, 0.8]], [[0.0, 0.0]]).gradient

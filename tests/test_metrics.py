@@ -1,5 +1,6 @@
 """Tests for thinning, matching, accumulation, and ODS/OIS."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -30,7 +31,7 @@ from pointedge import (
     thin,
     write_graymap,
 )
-from pointedge.metrics import _DELETABLE, THRESHOLDS
+from pointedge.metrics import _DELETABLE, THRESHOLDS, _cut, _firing_counts
 
 from helpers import (
     _full_frame_codes,
@@ -94,18 +95,28 @@ def bool_maps(draw) -> np.ndarray:
     return np.random.default_rng(seed).random(shape) < density
 
 
+def assert_flat_is_its_set_pixels(edges: BitMap) -> None:
+    """``edges.flat`` is the sorted, read-only ``np.flatnonzero(edges.bits)``."""
+    assert not edges.flat.flags.writeable
+    assert edges.flat.dtype == np.intp
+    assert np.array_equal(edges.flat, np.flatnonzero(edges.bits))
+
+
 def assert_thin_matches_reference(bits: np.ndarray) -> None:
     before = bits.copy()
-    out = thin(BitMap(bits)).bits
+    thinned = thin(BitMap(bits))
+    out = thinned.bits
     assert (bits == before).all(), "thin modified its input"
     assert out.shape == bits.shape
     assert (out == reference_thin(bits)).all()
+    assert_flat_is_its_set_pixels(thinned)
 
 
 class TestThin:
     def test_empty_map(self):
         out = thin(BitMap(np.zeros((6, 6), dtype=bool)))
         assert out.count() == 0
+        assert_flat_is_its_set_pixels(out)
 
     def test_diagonal_line_unchanged(self):
         bits = np.zeros((8, 8), dtype=bool)
@@ -134,6 +145,7 @@ class TestThin:
         for _ in range(25):
             blob = random_blob(rng)
             out = thin(blob)
+            assert_flat_is_its_set_pixels(out)
             assert (out.bits <= blob.bits).all()
             assert not has_2x2_block(out.bits)
             assert component_count(out.bits) == component_count(blob.bits)
@@ -417,8 +429,9 @@ class TestMatchInstance:
                     for j, p in enumerate(pxy.tolist())
                     if math.dist(g, p) < d
                 ]
+                lo, hi = pointedge.metrics._windows(np.flatnonzero(gt_bits), (30, 40), d)
                 indptr, indices = pointedge.metrics._candidates(
-                    np.flatnonzero(gt_bits), np.flatnonzero(pred_bits), (30, 40), d
+                    lo, hi, np.flatnonzero(pred_bits)
                 )
                 rows = np.repeat(np.arange(len(gxy)), np.diff(indptr))
                 assert list(zip(rows.tolist(), indices.tolist())) == want
@@ -428,7 +441,8 @@ class TestMatchInstance:
         # Offsets (3, 4), (-3, -4), (0, 5) and (5, 0) lie at exactly 5;
         # (3, 3), the third node in row-major order, lies inside.
         pred = bitmap_from_pixels(30, 40, [(13, 14), (7, 6), (10, 15), (15, 10), (13, 13)])
-        indptr, indices = pointedge.metrics._candidates(gt.flat, pred.flat, (30, 40), 5.0)
+        lo, hi = pointedge.metrics._windows(gt.flat, (30, 40), 5.0)
+        indptr, indices = pointedge.metrics._candidates(lo, hi, pred.flat)
         assert indptr.tolist() == [0, 1]
         assert indices.tolist() == [2]
 
@@ -455,9 +469,8 @@ class TestMatchInstance:
         cfg = EvalConfig(max_dist_fraction=0.99)  # d = 49.5 on 30x40
         gt = bitmap_from_pixels(30, 40, [(0, 0), (0, 39), (29, 39)])
         pred = bitmap_from_pixels(30, 40, [(0, 1), (15, 20), (29, 0), (29, 39)])
-        indptr, _ = pointedge.metrics._candidates(
-            gt.flat, pred.flat, (30, 40), cfg.max_distance(30, 40)
-        )
+        lo, hi = pointedge.metrics._windows(gt.flat, (30, 40), cfg.max_distance(30, 40))
+        indptr, _ = pointedge.metrics._candidates(lo, hi, pred.flat)
         assert np.diff(indptr).tolist() == [4, 4, 4]
         assert_optimal_match(pred, gt, cfg, dense_match)
         assert match_both(pred, gt, cfg).matched == 3
@@ -637,6 +650,49 @@ class TestMaximumMatching:
             assert sum(p >= 0 for p in gt_mate) == want, trial
 
 
+class TestWindowsCache:
+    def test_released_with_each_slots_ground_truth(self, monkeypatch):
+        # Each slot's windows are derived once and cached under its ground
+        # truth, weakly: once evaluate returns, every slot's gt is gone, and
+        # its cache entry with it.
+        dataset, predictions = random_dataset(np.random.default_rng(8), n_images=3)
+        gc.collect()
+        cached = len(pointedge.metrics._WINDOWS)
+        refs, derived = [], []
+        real_slot, real_windows = pointedge.metrics._slot_counts, pointedge.metrics._windows
+
+        def recording_slot(graymap, gt, cfg):
+            refs.append(weakref.ref(gt))
+            return real_slot(graymap, gt, cfg)
+
+        def recording_windows(gt_flat, shape, d):
+            derived.append(len(refs))
+            return real_windows(gt_flat, shape, d)
+
+        monkeypatch.setattr(pointedge.metrics, "_slot_counts", recording_slot)
+        monkeypatch.setattr(pointedge.metrics, "_windows", recording_windows)
+        evaluate(predictions, dataset)
+        monkeypatch.undo()
+
+        assert len(refs) == sum(len(image.instances) for image in dataset.images)
+        assert derived == sorted(set(derived)) and len(derived) > 1
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(pointedge.metrics._WINDOWS) == cached
+
+    def test_keyed_on_the_distance(self):
+        # One ground truth matched at several distances, back and forth:
+        # every match uses the windows of its own d.
+        gt = bitmap_from_pixels(30, 40, [(10, 10), (10, 20)])
+        pred = bitmap_from_pixels(30, 40, [(10, 13), (10, 26)])
+        matched = []
+        for fraction in (0.1, 0.2, 0.03, 0.1, 0.2):  # d = 5, 10, 1.5 on 30x40
+            cfg = EvalConfig(max_dist_fraction=fraction)
+            assert_optimal_match(pred, gt, cfg, brute_force_match)
+            matched.append(match_instance(pred, gt, cfg).matched)
+        assert matched == [1, 2, 0, 1, 2]
+
+
 class TestImagePR:
     # Rows are (matched, predicted, GT) node counts, one per instance.
     def test_counts_example(self):
@@ -733,6 +789,22 @@ class TestBinarize:
             expected = binarize(floats, t).bits
             assert np.array_equal(binarize(read, t).bits, expected), t
             assert np.array_equal(expected, (floats.values >= t) & (floats.values > 0.0)), t
+
+    def test_firing_counts_are_one_compare_per_threshold(self):
+        # The two-pass counts against a compare of the whole map at each
+        # threshold: a float map with zeros, a never-zero sample map, and a
+        # map that fires only at threshold 0.
+        rng = np.random.default_rng(16)
+        maps = [
+            GrayMap(np.where(rng.random((9, 11)) < 0.3, 0.0, rng.random((9, 11)))),
+            GrayMap(rng.integers(1, 256, (9, 11)).astype(np.uint8), 255),
+            GrayMap(np.where(rng.random((9, 11)) < 0.5, 0.0, 0.01)),
+        ]
+        assert (maps[1].levels > 0).all()
+        for graymap in maps:
+            want = [np.count_nonzero(graymap.levels >= _cut(graymap, t)) for t in THRESHOLDS]
+            assert _firing_counts(graymap) == want
+        assert want[0] > 0 and want[1:] == [0] * (len(THRESHOLDS) - 1)
 
     def test_numpy_maxval_stored_as_int(self):
         # A numpy maxval + 1 would wrap to 0 in uint16 and fire every pixel.
@@ -1141,14 +1213,20 @@ class TestEvaluate:
             )
 
     def test_each_ground_truth_indexed_once(self, monkeypatch):
-        # Every slot gets its own ground-truth map, every match of the slot
-        # gets that map, and its flat indices are computed once however many
-        # predicted maps are matched against it. Computations are counted
-        # at np.flatnonzero, whatever reads them.
+        # Every slot gets its own ground-truth map, and its flat indices come
+        # with it from thin: no np.flatnonzero runs over a gt frame. Every
+        # match of the slot gets that map; its windows are derived from
+        # those same flat indices once, and every match searches that same
+        # pair of window arrays.
         dataset, predictions = random_dataset(np.random.default_rng(8), n_images=3)
-        slot_gts, matched_gts, indexed = [], [], []
-        real_slot, real_match, real_flatnonzero = (
-            pointedge.metrics._slot_counts, pointedge.metrics.match_instance, np.flatnonzero
+        slot_gts, matched_gts, derived, searched, indexed = [], [], [], [], []
+        metrics = pointedge.metrics
+        real_slot, real_match, real_windows, real_candidates, real_flatnonzero = (
+            metrics._slot_counts,
+            metrics.match_instance,
+            metrics._windows,
+            metrics._candidates,
+            np.flatnonzero,
         )
 
         def recording_slot(graymap, gt, cfg):
@@ -1159,12 +1237,23 @@ class TestEvaluate:
             matched_gts.append((len(slot_gts), gt))
             return real_match(pred, gt, cfg)
 
+        def recording_windows(gt_flat, shape, d):
+            windows = real_windows(gt_flat, shape, d)
+            derived.append((len(slot_gts), gt_flat, windows))
+            return windows
+
+        def recording_candidates(lo, hi, pred_flat):
+            searched.append((len(slot_gts), lo, hi))
+            return real_candidates(lo, hi, pred_flat)
+
         def recording_flatnonzero(a):
             indexed.append(a)
             return real_flatnonzero(a)
 
-        monkeypatch.setattr(pointedge.metrics, "_slot_counts", recording_slot)
-        monkeypatch.setattr(pointedge.metrics, "match_instance", recording_match)
+        monkeypatch.setattr(metrics, "_slot_counts", recording_slot)
+        monkeypatch.setattr(metrics, "match_instance", recording_match)
+        monkeypatch.setattr(metrics, "_windows", recording_windows)
+        monkeypatch.setattr(metrics, "_candidates", recording_candidates)
         monkeypatch.setattr(np, "flatnonzero", recording_flatnonzero)
         evaluate(predictions, dataset)
         monkeypatch.undo()
@@ -1174,8 +1263,13 @@ class TestEvaluate:
         assert len({id(gt) for gt in slot_gts}) == slots
         assert len(matched_gts) > slots
         assert all(gt is slot_gts[slot - 1] for slot, gt in matched_gts)
-        assert [sum(a is gt.bits for a in indexed) for gt in slot_gts] == [1] * slots
-        assert all(gt.flat is gt.flat for gt in slot_gts)
+        assert indexed and not any(a is gt.bits for gt in slot_gts for a in indexed)
+        # Read after the run: a flat not handed over would be taken now.
+        assert [slot for slot, _, _ in derived] == sorted({slot for slot, _ in matched_gts})
+        assert all(gt_flat is slot_gts[slot - 1].flat for slot, gt_flat, _ in derived)
+        windows = {slot: w for slot, _, w in derived}
+        assert len(searched) == len(matched_gts)
+        assert all(lo is windows[slot][0] and hi is windows[slot][1] for slot, lo, hi in searched)
 
     @pytest.mark.parametrize("source", ["two_image_fixture", 0, 1, 2, 3])
     def test_unsorted_repeated_thresholds_match_oracle(self, source):
