@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import UserDict
@@ -181,6 +182,8 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
             )
         if not isinstance(entry["file"], str):
             raise ParseError(f"{where}: field 'file' must be a string")
+        if os.path.basename(entry["file"]) in ("", ".", ".."):
+            raise ParseError(f"{where}: field 'file' must name a file")
         slot[instance_id] = pred_dir / entry["file"]
     return predictions
 
@@ -258,7 +261,7 @@ def cmd_loss_check(args: argparse.Namespace) -> Outcome:
         )
         pred = rng.uniform(0.05, 0.95, size=(5, 5))
         gt = (rng.random((5, 5)) < 0.4).astype(np.float64)
-        dice_errors.append(finite_diff_check(lambda p, y: dice_loss(p, y), pred, gt))
+        dice_errors.append(finite_diff_check(dice_loss, pred, gt))
     # np.max, unlike max(), propagates a NaN error, which then fails the check.
     worst_focal, worst_dice = float(np.max(focal_errors)), float(np.max(dice_errors))
     print(f"focal max relative error {worst_focal!r}")

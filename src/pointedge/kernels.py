@@ -6,6 +6,10 @@ cross attention, the sigmoid coefficient head, the dense prediction head
 (per-query 1x1 convolution over shared features), the coarse-to-fine decoder
 resolution schedule, and the cross-attention operation-count model that
 motivates that schedule.
+
+``QuerySet``, ``FeatureMap`` and ``CoefSet`` hold their arrays as every map
+does: each keeps a read-only float64 array it owns, as the heads hand their
+outputs over, and copies anything else, so no caller's writes reach it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import GrayMap
+from .raster import GrayMap, _frozen, _kept
 
 __all__ = [
     "QuerySet",
@@ -66,15 +70,14 @@ def _matrix(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuerySet:
-    """``n`` object queries of dimension ``d`` as an n x d matrix."""
+    """``n`` object queries of dimension ``d`` as a read-only n x d matrix."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _matrix(self.data, "queries").copy()
+        arr = _matrix(_kept(self.data, np.float64), "queries")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("queries need n >= 1 and d >= 1")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -88,17 +91,16 @@ class QuerySet:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
-    """A channels x height x width feature tensor."""
+    """A read-only channels x height x width feature tensor."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64).copy()
+        arr = _kept(self.data, np.float64)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError(f"features must be [c, h, w] with positive dims, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("features must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -116,15 +118,14 @@ class FeatureMap:
 
 @dataclass(frozen=True, eq=False)
 class CoefSet:
-    """Per-query channel coefficients in the open interval (0, 1)."""
+    """Read-only per-query channel coefficients in the open interval (0, 1)."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _matrix(self.data, "coefficients").copy()
+        arr = _matrix(_kept(self.data, np.float64), "coefficients")
         if arr.size and (arr.min() <= 0.0 or arr.max() >= 1.0):
             raise ValueError("coefficients must lie strictly inside (0, 1)")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -189,7 +190,7 @@ def coef_head(queries: QuerySet, weight, bias) -> CoefSet:
         raise ValueError(f"bias shape {b.shape} != ({w.shape[1]},)")
     if not np.isfinite(b).all():
         raise ValueError("bias must be finite")
-    return CoefSet(_sigmoid_open(queries.data @ w + b))
+    return CoefSet(_frozen(_sigmoid_open(queries.data @ w + b)))
 
 
 def dense_head(coefs: CoefSet, features: FeatureMap) -> list[GrayMap]:
@@ -215,9 +216,7 @@ def dense_head(coefs: CoefSet, features: FeatureMap) -> list[GrayMap]:
         block = _sigmoid_open(coefs.data @ flat[:, cols])
         for row, values in zip(rows, block):
             row[cols] = values
-    for m in maps:
-        m.flags.writeable = False
-    return [GrayMap(m) for m in maps]
+    return [GrayMap(_frozen(m)) for m in maps]
 
 
 def default_schedule() -> DecoderSchedule:

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .annotations import Dataset, ImageRecord
-from .raster import BitMap, GrayMap, rasterize_polyline
+from .raster import BitMap, GrayMap, _frozen, _with_flat, rasterize_polyline
 
 __all__ = [
     "EvalConfig",
@@ -263,17 +263,6 @@ def _break_blocks(a: np.ndarray, codes: np.ndarray, marks: _Marks, offsets: np.n
     return broke
 
 
-def _owned(bits: np.ndarray, flat: np.ndarray | None = None) -> BitMap:
-    """Hand a freshly built bool array to a :class:`BitMap` without a copy,
-    and with it, where given, its set pixels' sorted flat indices."""
-    bits.flags.writeable = False
-    edges = BitMap(bits)
-    if flat is not None:
-        flat.flags.writeable = False
-        object.__setattr__(edges, "_flat", flat)
-    return edges
-
-
 def thin(edges: BitMap) -> BitMap:
     """Morphologically thin a binary edge map to (near) single-pixel width.
 
@@ -309,15 +298,16 @@ def thin(edges: BitMap) -> BitMap:
     (min(h, w) - 1) // 2 passes, which peel one ring each, and thins only
     the 1- or 2-pixel-thick core they leave: the output is the same.
 
-    The returned map carries its :attr:`~pointedge.BitMap.flat` already:
-    the set pixels' indices in the box grid, offset into the frame, so no
+    The returned map keeps the output grid without a copy and carries its
+    :attr:`~pointedge.BitMap.flat` already: the set pixels' indices in the
+    box grid, offset into the frame, handed over with the map, so no
     thinned map, prediction or ground truth, is scanned over the whole
     frame for them.
     """
     out = np.zeros_like(edges.bits)
     rows = np.flatnonzero(edges.bits.any(axis=1))
     if not rows.size:
-        return _owned(out, np.empty(0, dtype=np.intp))
+        return _with_flat(out, np.empty(0, dtype=np.intp))
     cols = np.flatnonzero(edges.bits.any(axis=0))
     top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     if edges.bits[top:bottom, left:right].all():
@@ -336,7 +326,7 @@ def thin(edges: BitMap) -> BitMap:
         if not _break_blocks(a, codes, marks, offsets):
             out[box] = a[1:-1, 1:-1]
             y, x = np.divmod(np.flatnonzero(a), a.shape[1])
-            return _owned(out, (y + (top - 1)) * out.shape[1] + (x + (left - 1)))
+            return _with_flat(out, (y + (top - 1)) * out.shape[1] + (x + (left - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +369,7 @@ def _windows(
     lo += base
     hi = np.minimum(gx + reach + 1, width)
     hi += base
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
+    return _frozen(lo), _frozen(hi)
 
 
 # Each ground truth's windows, with the ``d`` they were derived at; an entry
@@ -587,7 +576,7 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
     comparing them: above 0, ``values >= threshold`` already implies
     ``values > 0``, and at or below 0 only ``values > 0`` decides.
     """
-    return _owned(graymap.levels >= _cut(graymap, threshold))
+    return BitMap(_frozen(graymap.levels >= _cut(graymap, threshold)))
 
 
 def _firing_counts(graymap: GrayMap) -> list[int]:

@@ -11,7 +11,8 @@ refers to the center of pixel (2, 2) and rounds to that pixel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,51 +30,56 @@ __all__ = [
 TUNNEL_VALUE = 0.7
 
 
-def _owned_read_only(arr: object, dtype: np.dtype) -> bool:
-    """Whether ``arr`` is an ndarray of ``dtype`` a map can keep uncopied."""
-    return (
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Make a freshly built array read-only and return it, so that a map
+    keeps it without a copy (see :func:`_kept`)."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _kept(arr: object, dtype: type | np.dtype) -> np.ndarray:
+    """The array a map holds for ``arr``: ``arr`` itself where it is a
+    read-only ``dtype`` ndarray that owns its memory, as a function that
+    built it hands it over; otherwise a read-only C-order copy as ``dtype``,
+    which no caller's later writes reach."""
+    if (
         type(arr) is np.ndarray
         and arr.dtype == dtype
         and not arr.flags.writeable
         and arr.base is None
-    )
+    ):
+        return arr
+    return _frozen(np.array(arr, dtype=dtype, order="C"))
 
 
 @dataclass(frozen=True, eq=False)
 class BitMap:
     """A 2-D binary grid. ``bits`` is a read-only boolean array.
 
-    A bool ndarray that is already read-only and owns its memory is kept as
-    it is, so a function that built it hands it over without a copy; any
-    other input (a writable array, a view, 0/1 integers or a list) is
-    copied, so no caller's later writes reach the map. ``flat`` holds the
-    set pixels' flat indices in ascending order, computed on first read
-    and then kept read-only.
+    Like every map, a ``BitMap`` keeps a read-only array it owns, copies
+    anything else, and computes each derived array once, on first read. So
+    a function that built a bool array hands it over without a copy, and no
+    caller's later writes reach the map; 0/1 integers and lists are
+    converted. ``flat`` holds the set pixels' flat indices in ascending
+    order, read-only; :func:`pointedge.thin` hands them over with the map
+    it returns.
     """
 
     bits: np.ndarray
-    _flat: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = self.bits
-        if not _owned_read_only(arr, np.dtype(np.bool_)):
-            arr = np.asarray(arr)
-            if arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
-                raise ValueError("BitMap values must be 0 or 1")
-            arr = arr.astype(bool)
+        arr = np.asarray(self.bits)
+        if arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
+            raise ValueError("BitMap values must be 0 or 1")
+        arr = _kept(arr, np.bool_)
         if arr.ndim != 2:
             raise ValueError(f"BitMap needs a 2-D grid, got shape {arr.shape}")
-        arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
 
-    @property
+    @cached_property
     def flat(self) -> np.ndarray:
         """The set pixels' sorted flat indices, read-only, taken on first use."""
-        if self._flat is None:
-            flat = np.flatnonzero(self.bits)
-            flat.flags.writeable = False
-            object.__setattr__(self, "_flat", flat)
-        return self._flat
+        return _frozen(np.flatnonzero(self.bits))
 
     @property
     def height(self) -> int:
@@ -88,39 +94,45 @@ class BitMap:
         return int(self.bits.sum())
 
 
+def _with_flat(bits: np.ndarray, flat: np.ndarray) -> BitMap:
+    """A map of the freshly built ``bits`` that takes ``flat``, their set
+    pixels' sorted flat indices, as its :attr:`BitMap.flat`; both arrays are
+    kept without a copy."""
+    edges = BitMap(_frozen(bits))
+    vars(edges)["flat"] = _frozen(flat)
+    return edges
+
+
 @dataclass(frozen=True, eq=False)
 class GrayMap:
     """A 2-D grid of values in [0, 1], held as floats or as integer samples.
 
-    ``GrayMap(values)`` holds float values. A float64 ndarray that is already
-    read-only and owns its memory is kept as it is, so a function that built
-    it hands it over without a copy; any other input (a writable array, a
-    view, another dtype or a list) is copied, so no caller's later writes
-    reach the map. The values are checked to be finite and within [0, 1].
+    Like every map, a ``GrayMap`` keeps a read-only array it owns, copies
+    anything else, and computes each derived array once, on first read.
+
+    ``GrayMap(values)`` holds float values, kept as a float64 array and
+    checked to be finite and within [0, 1].
 
     ``GrayMap(samples, maxval)`` holds unsigned integer samples that stand
-    for the values ``sample / maxval``, as a PGM stores them. A native-order
-    ndarray that is read-only and owns its memory is kept; any other
-    unsigned integer array is copied into native byte order. The samples
-    are checked to be at most ``maxval``, unless ``maxval`` is their dtype's
-    maximum. Their float ``values`` are computed when first read, as
-    ``np.divide(samples, maxval, dtype=np.float64)``, and then kept.
+    for the values ``sample / maxval``, as a PGM stores them, kept in native
+    byte order. The samples are checked to be at most ``maxval``, unless
+    ``maxval`` is their dtype's maximum. Their float ``values`` are computed
+    when first read, as ``np.divide(samples, maxval, dtype=np.float64)``.
 
     Either way the grid must be 2-D, ``levels`` is the array a threshold is
     compared against (the values, or the samples), and ``values`` is a
-    read-only float64 array. Shape and size come from ``levels``, so they
-    never build the float values of a sample map.
+    read-only float64 array, the levels themselves for a float map. Shape
+    and size come from ``levels``, so they never build the float values of
+    a sample map.
     """
 
     levels: np.ndarray
     maxval: int | None = None
-    _values: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr, maxval = self.levels, self.maxval
         if maxval is None:
-            if not _owned_read_only(arr, np.dtype(np.float64)):
-                arr = np.array(arr, dtype=np.float64, order="C")
+            arr = _kept(arr, np.float64)
         else:
             if not (type(arr) is np.ndarray and arr.dtype.kind == "u"):
                 raise ValueError("GrayMap samples must be an unsigned integer array")
@@ -128,9 +140,7 @@ class GrayMap:
                 raise ValueError(f"GrayMap maxval must be a positive integer, got {maxval!r}")
             maxval = int(maxval)
             object.__setattr__(self, "maxval", maxval)
-            native = arr.dtype.newbyteorder("=")
-            if not _owned_read_only(arr, native):
-                arr = arr.astype(native, order="C")
+            arr = _kept(arr, arr.dtype.newbyteorder("="))
         if arr.ndim != 2:
             raise ValueError(f"GrayMap needs a 2-D grid, got shape {arr.shape}")
         if maxval is None:
@@ -140,20 +150,16 @@ class GrayMap:
                 if not np.isfinite(arr).all():
                     raise ValueError("GrayMap values must be finite")
                 raise ValueError("GrayMap values must lie in [0, 1]")
-            object.__setattr__(self, "_values", arr)
         elif maxval < np.iinfo(arr.dtype).max and arr.max(initial=0) > maxval:
             raise ValueError(f"sample exceeds declared maxval {maxval}")
-        arr.flags.writeable = False
         object.__setattr__(self, "levels", arr)
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
         """The read-only float64 values, computed on first use for samples."""
-        if self._values is None:
-            values = np.divide(self.levels, self.maxval, dtype=np.float64)
-            values.flags.writeable = False
-            object.__setattr__(self, "_values", values)
-        return self._values
+        if self.maxval is None:
+            return self.levels
+        return _frozen(np.divide(self.levels, self.maxval, dtype=np.float64))
 
     @property
     def height(self) -> int:
@@ -273,8 +279,7 @@ def rasterize_polyline(inst: InstanceAnnotation, height: int, width: int) -> Bit
     box, top, left = _draw_rings(_ring_pixels(inst, height, width), height, width, 0)
     bits = np.zeros((height, width), dtype=bool)
     bits[top:top + box.shape[0], left:left + box.shape[1]] = box
-    bits.flags.writeable = False
-    return BitMap(bits)
+    return BitMap(_frozen(bits))
 
 
 def _dilate3x3(bits: np.ndarray) -> np.ndarray:
@@ -319,5 +324,4 @@ def build_tunnel_target(
     box[_dilate3x3(tunnel)] = TUNNEL_VALUE
     for px, py in keypoints:
         values[py, px] = 1.0
-    values.flags.writeable = False
-    return TunnelTarget(map=GrayMap(values), keypoint_count=len(keypoints))
+    return TunnelTarget(map=GrayMap(_frozen(values)), keypoint_count=len(keypoints))

@@ -353,7 +353,7 @@ class TestEval:
             r"ODS \d\.\d{4}\nOIS \d\.\d{4}\n", capsys.readouterr().out
         )
 
-    def test_rerun_and_workers_byte_identical(self, ann_path, tmp_path):
+    def test_rerun_is_byte_identical(self, ann_path, tmp_path):
         preds = write_exact_predictions(tmp_path / "preds", ann_path, skip={(2, 3)})
         outs = []
         for name in ("r1", "r2"):
@@ -458,15 +458,30 @@ class TestEval:
         assert code == 1
         assert f"entry 1: field '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [None, 3, ["1_2.pgm"]])
-    def test_non_string_file_exits_1(self, ann_path, tmp_path, capsys, value):
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (None, "must be a string"),
+            (3, "must be a string"),
+            (["1_2.pgm"], "must be a string"),
+            ("", "must name a file"),
+            (".", "must name a file"),
+            ("..", "must name a file"),
+            ("sub/", "must name a file"),
+            ("sub/..", "must name a file"),
+        ],
+    )
+    def test_file_that_is_not_a_string_or_names_no_file_exits_1(
+        self, ann_path, tmp_path, capsys, value, message
+    ):
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        (preds / "sub").mkdir()
         doc = json.loads((preds / "manifest.json").read_text())
         doc["entries"][1]["file"] = value
         (preds / "manifest.json").write_text(json.dumps(doc))
         code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "entry 1: field 'file' must be a string" in capsys.readouterr().err
+        assert f"entry 1: field 'file' {message}\n" in capsys.readouterr().err
 
     def test_missing_graymap_file_exits_2(self, ann_path, tmp_path, capsys):
         preds = write_exact_predictions(tmp_path / "preds", ann_path)

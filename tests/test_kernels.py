@@ -328,3 +328,27 @@ class TestTypeValidation:
         qs = QuerySet([[1.0, 2.0]])
         with pytest.raises(ValueError):
             qs.data[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [(QuerySet, (3, 4)), (FeatureMap, (2, 3, 4)), (CoefSet, (3, 4))],
+        ids=["QuerySet", "FeatureMap", "CoefSet"],
+    )
+    def test_keeps_a_read_only_array_it_owns_and_copies_anything_else(self, kind, shape):
+        data = np.full(shape, 0.5)
+        held = kind(data).data
+        data[(0,) * len(shape)] = 0.25
+        assert held[(0,) * len(shape)] == 0.5
+        assert not np.shares_memory(held, data)
+        assert not held.flags.writeable
+
+        owned = np.full(shape, 0.5)
+        owned.flags.writeable = False
+        assert np.shares_memory(kind(owned).data, owned)
+
+        view = np.full(shape[:-1] + (2 * shape[-1],), 0.5)[..., ::2]
+        view.flags.writeable = False
+        held = kind(view).data
+        assert (held == view).all()
+        assert not np.shares_memory(held, view)
+        assert not held.flags.writeable

@@ -907,7 +907,7 @@ class TestEvaluate:
         summary = evaluate(read, dataset)
         monkeypatch.undo()
         assert summary == expected
-        assert all(m._values is None for maps in read.values() for m in maps.values())
+        assert all("values" not in vars(m) for maps in read.values() for m in maps.values())
 
     def test_pgm_read_two_image_fixture(self, tmp_path):
         dataset, predictions = two_image_fixture()

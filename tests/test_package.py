@@ -1,7 +1,9 @@
 """The package's public names are exactly those its modules export, its
-version is declared once, importing the command line loads no scipy module,
-and make-targets loads no numpy.ma."""
+version is declared once, only the raster module freezes or plants the
+arrays a map holds, importing the command line loads no scipy module, and
+make-targets loads no numpy.ma."""
 
+import ast
 import importlib
 import json
 import os
@@ -45,6 +47,38 @@ def test_pyproject_version_is_the_package_version():
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     config = pyprojecttoml.read_configuration(ROOT / "pyproject.toml")
     assert config["project"]["version"] == pointedge.__version__
+
+
+def test_only_raster_freezes_or_plants_a_maps_arrays():
+    # raster.py alone knows how a map holds its arrays: elsewhere no array is
+    # made read-only and no attribute is set on a frozen object but self.
+    breaches = []
+    for path in sorted((SRC / "pointedge").glob("*.py")):
+        if path.name == "raster.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)
+            ]
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr == "writeable"
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "flags"
+                ):
+                    breaches.append(f"{path.name}:{node.lineno} sets flags.writeable")
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "object.__setattr__"
+                and not (
+                    node.args
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id == "self"
+                )
+            ):
+                breaches.append(f"{path.name}:{node.lineno} sets an attribute of another object")
+    assert breaches == []
 
 
 def scipy_modules_loaded_by_cli_import() -> list[str]:
