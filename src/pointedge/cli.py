@@ -182,7 +182,7 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
             )
         if not isinstance(entry["file"], str):
             raise ParseError(f"{where}: field 'file' must be a string")
-        if os.path.basename(entry["file"]) in ("", ".", ".."):
+        if os.path.basename(entry["file"]) in ("", ".", "..") or "\0" in entry["file"]:
             raise ParseError(f"{where}: field 'file' must name a file")
         slot[instance_id] = pred_dir / entry["file"]
     return predictions

@@ -40,10 +40,14 @@ class UndefinedLossError(ValueError):
 class FocalConfig:
     """Focal-loss hyperparameters.
 
-    ``alpha`` tempers well-classified pixels, ``beta`` attenuates the penalty
-    near soft-positive (tunnel) regions, and ``gamma`` is the target value at
-    or above which a pixel counts as positive: by default the tunnel value,
-    so tunnel pixels are positives.
+    ``alpha`` tempers well-classified pixels, and ``gamma`` is the target
+    value at or above which a pixel counts as positive: by default the
+    tunnel value, so tunnel pixels are positives. ``beta`` weighs a negative
+    pixel with target ``Y`` by ``(1-Y)^beta``, which attenuates the penalty
+    of soft (tunnel) pixels only where ``gamma`` is above the tunnel value,
+    so that they are negatives. At the default ``gamma`` every nonzero pixel
+    of a tunnel target is positive and a zero pixel's weight is 1, so
+    ``beta`` has no effect on the loss or its gradient.
     """
 
     alpha: float = 2.0

@@ -17,14 +17,15 @@ from typing import Mapping
 import numpy as np
 
 from .annotations import Dataset, ImageRecord
-from .raster import BitMap, GrayMap, _frozen, _with_flat, rasterize_polyline
+from .raster import (
+    BitMap, GrayMap, _firing_counts, _frozen, _with_flat, binarize, rasterize_polyline,
+)
 
 __all__ = [
     "EvalConfig",
     "MatchResult",
     "PRPoint",
     "EvalSummary",
-    "binarize",
     "thin",
     "edge_nodes",
     "match_instance",
@@ -71,6 +72,8 @@ class MatchResult:
     pred_total: int
 
     def __post_init__(self) -> None:
+        if self.pred_total < 0:
+            raise ValueError("pred_total must be >= 0")
         # C-level passes: a numpy check costs more at a few hundred nodes.
         mated = set(self.mates) - {-1}
         if mated and not (0 <= min(mated) and max(mated) < self.pred_total):
@@ -534,69 +537,6 @@ def fscore(precision: float, recall: float) -> float:
 # Dataset evaluation
 # ---------------------------------------------------------------------------
 
-# The level a float map's values are cut at for thresholds at or below 0:
-# ``values >= _SMALLEST_POSITIVE`` is exactly ``values > 0``.
-_SMALLEST_POSITIVE = 5e-324
-
-
-def _cut(graymap: GrayMap, threshold: float) -> float | int:
-    """The level ``L`` at which ``graymap.levels >= L`` binarizes at ``threshold``.
-
-    For float values ``L`` is the threshold itself, or the smallest positive
-    float where the threshold is at most 0, so zero never fires. For samples
-    it is the smallest sample ``s >= 1`` whose value ``s / maxval`` passes
-    the float test ``>= threshold``, or ``maxval + 1`` where none does (a
-    threshold above 1, or NaN). It starts from ``ceil(threshold * maxval)``
-    and steps by one while the float test says so; the division is
-    correctly rounded, so ``s / maxval`` is exactly the value the map's
-    ``values`` hold, and it never decreases as ``s`` grows.
-    """
-    maxval = graymap.maxval
-    if maxval is None:
-        return _SMALLEST_POSITIVE if threshold <= 0.0 else threshold
-    if threshold <= 0.0:
-        return 1
-    if not threshold <= 1.0:
-        return maxval + 1
-    level = max(math.ceil(threshold * maxval), 1)
-    while level > 1 and (level - 1) / maxval >= threshold:
-        level -= 1
-    while level / maxval < threshold:
-        level += 1
-    return level
-
-
-def binarize(graymap: GrayMap, threshold: float) -> BitMap:
-    """Pixels with probability >= threshold; zero-probability pixels never fire.
-
-    This takes one comparison of the map's levels, its float values or its
-    integer samples, with the level :func:`_cut` finds for the threshold.
-    For a map of samples, as :func:`pointedge.read_graymap` gives, the
-    float values are never computed, and the result is exactly that of
-    comparing them: above 0, ``values >= threshold`` already implies
-    ``values > 0``, and at or below 0 only ``values > 0`` decides.
-    """
-    return BitMap(_frozen(graymap.levels >= _cut(graymap, threshold)))
-
-
-def _firing_counts(graymap: GrayMap) -> list[int]:
-    """How many pixels fire at each threshold of :data:`THRESHOLDS`.
-
-    The counts compare the map's levels with the same cut levels
-    :func:`binarize` uses (see :func:`_cut`), so a map of PGM samples is
-    never turned into floats. Two passes over the frame: the first counts
-    the pixels at or above the lowest cut; the second keeps the levels at
-    or above the next cut, and the other thresholds are counted on those
-    alone, since the cuts ascend with the thresholds. So a never-zero map,
-    which fires everywhere at threshold 0, is compared whole only twice.
-    """
-    cuts = [_cut(graymap, t) for t in THRESHOLDS]
-    levels = graymap.levels
-    first = np.count_nonzero(levels >= cuts[0])
-    fires = levels[levels >= cuts[1]]
-    return [first] + [np.count_nonzero(fires >= cut) for cut in cuts[1:]]
-
-
 def _slot_counts(graymap: GrayMap | None, gt: BitMap, cfg: EvalConfig) -> np.ndarray:
     """One instance slot's (matched, predicted, GT) node counts, one row per
     threshold of :data:`THRESHOLDS`.
@@ -620,7 +560,7 @@ def _slot_counts(graymap: GrayMap | None, gt: BitMap, cfg: EvalConfig) -> np.nda
     if graymap is None:
         return counts
     previous = None
-    for i, (t, n) in enumerate(zip(THRESHOLDS, _firing_counts(graymap))):
+    for i, (t, n) in enumerate(zip(THRESHOLDS, _firing_counts(graymap, THRESHOLDS))):
         if n == 0:
             break
         if n != previous:
@@ -649,7 +589,7 @@ def _image_counts(
     counts = np.empty((len(image.instances), len(THRESHOLDS), 3), dtype=np.intp)
     for slot, inst in enumerate(image.instances):
         graymap = inst_maps.get(inst.instance_id)
-        if graymap is not None and graymap.levels.shape != shape:
+        if graymap is not None and (graymap.height, graymap.width) != shape:
             raise ValueError(
                 f"image {image.image_id}: prediction for instance {inst.instance_id} is "
                 f"{graymap.height}x{graymap.width}, image is {image.height}x{image.width}"

@@ -70,7 +70,7 @@ def read_graymap(path: str | Path) -> GrayMap:
 
     The map keeps the samples in native byte order without dividing them:
     a threshold is applied to the samples themselves (see
-    :func:`pointedge.metrics.binarize`), and the map's read-only float64
+    :func:`pointedge.raster.binarize`), and the map's read-only float64
     ``values`` are computed only if something reads them. The map checks
     that no sample exceeds ``maxval``; every error names the file.
     """

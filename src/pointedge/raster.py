@@ -1,7 +1,8 @@
 """Rasterization of keypoint annotations into pixel grids.
 
 Produces binary edge maps (8-connected polyline rasters) and penalty-reduced
-"tunnel" training targets quantized to {0, 0.7, 1.0}.
+"tunnel" training targets quantized to {0, 0.7, 1.0}, and binarizes gray
+maps at a threshold.
 
 Pixel (x, y) covers the unit square with center (x + 0.5, y + 0.5), and
 annotation coordinates live on the pixel-center lattice: keypoint (2, 2)
@@ -23,6 +24,7 @@ __all__ = [
     "GrayMap",
     "TunnelTarget",
     "TUNNEL_VALUE",
+    "binarize",
     "rasterize_polyline",
     "build_tunnel_target",
 ]
@@ -168,6 +170,66 @@ class GrayMap:
     @property
     def width(self) -> int:
         return self.levels.shape[1]
+
+
+# A float map cut here at thresholds at or below 0 fires exactly ``values > 0``.
+_SMALLEST_POSITIVE = 5e-324
+
+
+def _cut(graymap: GrayMap, threshold: float) -> float | int:
+    """The level ``L`` at which ``graymap.levels >= L`` binarizes at ``threshold``.
+
+    For float values ``L`` is the threshold itself, or the smallest positive
+    float where the threshold is at most 0, so zero never fires. For samples
+    it is the smallest sample ``s >= 1`` whose value ``s / maxval`` passes
+    the float test ``>= threshold``, or ``maxval + 1`` where none does (a
+    threshold above 1, or NaN). It starts from ``ceil(threshold * maxval)``
+    and steps by one while the float test says so; the division is
+    correctly rounded, so ``s / maxval`` is exactly the value the map's
+    ``values`` hold, and it never decreases as ``s`` grows.
+    """
+    maxval = graymap.maxval
+    if maxval is None:
+        return _SMALLEST_POSITIVE if threshold <= 0.0 else threshold
+    if threshold <= 0.0:
+        return 1
+    if not threshold <= 1.0:
+        return maxval + 1
+    level = max(math.ceil(threshold * maxval), 1)
+    while level > 1 and (level - 1) / maxval >= threshold:
+        level -= 1
+    while level / maxval < threshold:
+        level += 1
+    return level
+
+
+def binarize(graymap: GrayMap, threshold: float) -> BitMap:
+    """Pixels with probability >= threshold; zero-probability pixels never fire.
+
+    One comparison of the map's levels, float values or integer samples,
+    with the level :func:`_cut` finds for the threshold. A map of samples is
+    never turned into floats, and the result is exactly that of comparing
+    them: above 0, ``values >= threshold`` implies ``values > 0``, and at or
+    below 0 only ``values > 0`` decides.
+    """
+    return BitMap(_frozen(graymap.levels >= _cut(graymap, threshold)))
+
+
+def _firing_counts(graymap: GrayMap, thresholds: tuple[float, ...]) -> list[int]:
+    """How many pixels fire at each of two or more ascending ``thresholds``.
+
+    The counts compare the map's levels with the cut levels :func:`binarize`
+    uses (see :func:`_cut`), in two passes over the frame: the first counts
+    the pixels at or above the lowest cut; the second keeps the levels at
+    or above the next cut, and the other thresholds are counted on those
+    alone, since the cuts ascend with the thresholds. So a never-zero map,
+    which fires everywhere at threshold 0, is compared whole only twice.
+    """
+    cuts = [_cut(graymap, t) for t in thresholds]
+    levels = graymap.levels
+    first = np.count_nonzero(levels >= cuts[0])
+    fires = levels[levels >= cuts[1]]
+    return [first] + [np.count_nonzero(fires >= cut) for cut in cuts[1:]]
 
 
 @dataclass(frozen=True, eq=False)

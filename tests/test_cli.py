@@ -469,6 +469,7 @@ class TestEval:
             ("..", "must name a file"),
             ("sub/", "must name a file"),
             ("sub/..", "must name a file"),
+            ("a\u0000b.pgm", "must name a file"),
         ],
     )
     def test_file_that_is_not_a_string_or_names_no_file_exits_1(

@@ -12,13 +12,14 @@ from pointedge import (
     LossResult,
     TunnelTarget,
     UndefinedLossError,
+    build_tunnel_target,
     dice_loss,
     finite_diff_check,
     gradient_ratio,
     penalty_reduced_focal,
 )
 
-from helpers import focal_oracle
+from helpers import focal_oracle, make_instance
 
 # The default, gamma 1 (tunnel pixels take the negative branch), a
 # non-integer alpha, alpha = beta = 0 (powers of 0 and -1) and gamma 0.5.
@@ -80,6 +81,22 @@ class TestPenaltyReducedFocal:
         negative_term = -((1 - TUNNEL_VALUE) ** cfg.beta) * p**cfg.alpha * math.log(1 - p)
         assert res.value == pytest.approx(positive_term, abs=1e-9)
         assert abs(res.value - negative_term) > 0.1
+
+    def test_beta_acts_only_where_tunnel_pixels_are_negatives(self):
+        # At the default gamma every nonzero pixel of a tunnel target is a
+        # positive and a zero pixel's weight (1-0)^beta is 1, so beta changes
+        # nothing; with gamma 1 the tunnel pixels are weighted (1-0.7)^beta.
+        target = build_tunnel_target(
+            make_instance(((4, 3), (30, 5), (26, 20), (6, 18))), 24, 36
+        )
+        pred = np.random.default_rng(30).random((24, 36))
+        for gamma, same in ((TUNNEL_VALUE, True), (1.0, False)):
+            zero, four = (
+                penalty_reduced_focal(pred, target, FocalConfig(beta=beta, gamma=gamma))
+                for beta in (0.0, 4.0)
+            )
+            assert (zero.value == four.value) is same
+            assert np.array_equal(zero.gradient, four.gradient) is same
 
     def test_normalized_by_keypoint_count(self):
         # Both keypoints are predicted perfectly, so their terms vanish and

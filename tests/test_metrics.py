@@ -31,7 +31,8 @@ from pointedge import (
     thin,
     write_graymap,
 )
-from pointedge.metrics import _DELETABLE, THRESHOLDS, _cut, _firing_counts
+from pointedge.metrics import _DELETABLE, THRESHOLDS
+from pointedge.raster import _cut, _firing_counts
 
 from helpers import (
     _full_frame_codes,
@@ -582,6 +583,8 @@ class TestMatchInstance:
             MatchResult((0, 2), pred_total=2)
         with pytest.raises(ValueError, match="outside the prediction"):
             MatchResult((0, -2), pred_total=2)
+        with pytest.raises(ValueError, match="pred_total must be >= 0"):
+            MatchResult((-1,), pred_total=-5)
         result = MatchResult((1, -1, 0), pred_total=2)
         assert (result.matched, result.gt_total) == (2, 3)
         assert result.matched_pairs == ((0, 1), (2, 0))
@@ -803,7 +806,7 @@ class TestBinarize:
         assert (maps[1].levels > 0).all()
         for graymap in maps:
             want = [np.count_nonzero(graymap.levels >= _cut(graymap, t)) for t in THRESHOLDS]
-            assert _firing_counts(graymap) == want
+            assert _firing_counts(graymap, THRESHOLDS) == want
         assert want[0] > 0 and want[1:] == [0] * (len(THRESHOLDS) - 1)
 
     def test_numpy_maxval_stored_as_int(self):
