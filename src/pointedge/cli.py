@@ -95,15 +95,15 @@ def cmd_make_targets(args: argparse.Namespace) -> Outcome:
     for image in dataset.images:
         for inst in image.instances:
             kept = subsample_keypoints(inst, args.ratio, args.seed)
+            name = f"{image.image_id}_{inst.instance_id}.pgm"
             try:
                 target = build_tunnel_target(kept, image.height, image.width)
+                write_graymap(target.map, out / name)
             except (ValueError, MemoryError) as exc:  # an image too large to allocate
                 raise ValueError(
                     f"{args.annotations}: image {image.image_id} "
                     f"({image.height}x{image.width}): {exc}"
                 ) from exc
-            name = f"{image.image_id}_{inst.instance_id}.pgm"
-            write_graymap(target.map, out / name)
             entries.append(
                 {
                     "image_id": image.image_id,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import GrayMap
+from .raster import GrayMap, _box_values, _framed
 
 __all__ = ["read_graymap", "write_graymap"]
 
@@ -30,11 +30,15 @@ _HEADER = re.compile(rb"P5" + _SEPARATED_NUMBER * 3 + rb"\s")
 def write_graymap(graymap: GrayMap, path: str | Path) -> None:
     """Write ``rint(value * 65535)`` as big-endian 16-bit samples.
 
-    The scaled values are rounded in place and converted once; the header
-    and the sample buffer are written one after the other, uncopied.
+    Only the map's box is scaled, rounded in place and converted; a box
+    smaller than the frame is pasted into a zeroed sample frame, so the
+    map's float ``values`` are never built. The samples are ready before
+    the file is opened, so a frame too large to allocate leaves no file.
+    The header and the sample buffer are written one after the other,
+    uncopied.
     """
-    scaled = graymap.values * GRAY_MAXVAL
-    samples = np.rint(scaled, out=scaled).astype(">u2")
+    scaled = _box_values(graymap) * GRAY_MAXVAL
+    samples = _framed(graymap, np.rint(scaled, out=scaled).astype(">u2"))
     header = f"P5\n{graymap.width} {graymap.height}\n{GRAY_MAXVAL}\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)

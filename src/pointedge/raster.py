@@ -12,7 +12,8 @@ refers to the center of pixel (2, 2) and rounds to that pixel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -105,9 +106,19 @@ def _with_flat(bits: np.ndarray, flat: np.ndarray) -> BitMap:
     return edges
 
 
+def _placement(pair: object, name: str) -> tuple[int, int]:
+    """``pair`` as two ints, or a ``ValueError`` that names the field."""
+    try:
+        first, second = map(operator.index, pair)
+    except (TypeError, ValueError):
+        raise ValueError(f"GrayMap {name} must be two integers, got {pair!r}") from None
+    return first, second
+
+
 @dataclass(frozen=True, eq=False)
 class GrayMap:
-    """A 2-D grid of values in [0, 1], held as floats or as integer samples.
+    """A 2-D grid of values in [0, 1], held as floats or as integer samples,
+    over its whole frame or over a box of it.
 
     Like every map, a ``GrayMap`` keeps a read-only array it owns, copies
     anything else, and computes each derived array once, on first read.
@@ -118,18 +129,24 @@ class GrayMap:
     ``GrayMap(samples, maxval)`` holds unsigned integer samples that stand
     for the values ``sample / maxval``, as a PGM stores them, kept in native
     byte order. The samples are checked to be at most ``maxval``, unless
-    ``maxval`` is their dtype's maximum. Their float ``values`` are computed
-    when first read, as ``np.divide(samples, maxval, dtype=np.float64)``.
+    ``maxval`` is their dtype's maximum. Their float values are computed
+    as ``np.divide(samples, maxval, dtype=np.float64)``.
 
-    Either way the grid must be 2-D, ``levels`` is the array a threshold is
-    compared against (the values, or the samples), and ``values`` is a
-    read-only float64 array, the levels themselves for a float map. Shape
-    and size come from ``levels``, so they never build the float values of
-    a sample map.
+    Either way the grid must be 2-D, and ``levels`` is the array a threshold
+    is compared against (the values, or the samples). The keyword-only
+    ``frame=(height, width)`` and ``origin=(top, left)`` place the levels as
+    a box inside a larger frame that is 0 outside it; by default the box is
+    the frame. Checks and thresholds look only at the box. ``height`` and
+    ``width`` are the frame's, and ``values`` is the read-only float64 array
+    of the whole frame, built on first read (the levels themselves for a
+    float map whose box is its frame).
     """
 
     levels: np.ndarray
     maxval: int | None = None
+    _: KW_ONLY
+    frame: tuple[int, int] | None = None
+    origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         arr, maxval = self.levels, self.maxval
@@ -145,6 +162,16 @@ class GrayMap:
             arr = _kept(arr, arr.dtype.newbyteorder("="))
         if arr.ndim != 2:
             raise ValueError(f"GrayMap needs a 2-D grid, got shape {arr.shape}")
+        frame = arr.shape if self.frame is None else _placement(self.frame, "frame")
+        top, left = _placement(self.origin, "origin")
+        if top < 0 or left < 0:
+            raise ValueError(f"GrayMap origin must not be negative, got {(top, left)}")
+        (rows, cols), (height, width) = arr.shape, frame
+        if top + rows > height or left + cols > width:
+            raise ValueError(
+                f"GrayMap box of {rows}x{cols} at {(top, left)} "
+                f"leaves its {height}x{width} frame"
+            )
         if maxval is None:
             # A NaN fails both tests and an infinity the range test, so
             # finiteness is only looked at to choose the message.
@@ -155,21 +182,41 @@ class GrayMap:
         elif maxval < np.iinfo(arr.dtype).max and arr.max(initial=0) > maxval:
             raise ValueError(f"sample exceeds declared maxval {maxval}")
         object.__setattr__(self, "levels", arr)
+        object.__setattr__(self, "frame", (height, width))
+        object.__setattr__(self, "origin", (top, left))
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The read-only float64 values, computed on first use for samples."""
-        if self.maxval is None:
-            return self.levels
-        return _frozen(np.divide(self.levels, self.maxval, dtype=np.float64))
+        """The read-only float64 values of the whole frame, computed on first use."""
+        return _frozen(_framed(self, _box_values(self)))
 
     @property
     def height(self) -> int:
-        return self.levels.shape[0]
+        return self.frame[0]
 
     @property
     def width(self) -> int:
-        return self.levels.shape[1]
+        return self.frame[1]
+
+
+def _box_values(graymap: GrayMap) -> np.ndarray:
+    """The float64 values inside the map's box: the levels of a float map,
+    else ``sample / maxval`` computed afresh."""
+    if graymap.maxval is None:
+        return graymap.levels
+    return np.divide(graymap.levels, graymap.maxval, dtype=np.float64)
+
+
+def _framed(graymap: GrayMap, box: np.ndarray) -> np.ndarray:
+    """``box``, an array of the map's box shape, placed in its frame: ``box``
+    itself where the box is the frame, else a zero frame of its dtype with
+    ``box`` pasted at the map's origin."""
+    if box.shape == graymap.frame:
+        return box
+    frame = np.zeros(graymap.frame, dtype=box.dtype)
+    top, left = graymap.origin
+    frame[top:top + box.shape[0], left:left + box.shape[1]] = box
+    return frame
 
 
 # A float map cut here at thresholds at or below 0 fires exactly ``values > 0``.
@@ -210,9 +257,10 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
     with the level :func:`_cut` finds for the threshold. A map of samples is
     never turned into floats, and the result is exactly that of comparing
     them: above 0, ``values >= threshold`` implies ``values > 0``, and at or
-    below 0 only ``values > 0`` decides.
+    below 0 only ``values > 0`` decides. So only a map's box is compared,
+    and the result is pasted into a zero frame.
     """
-    return BitMap(_frozen(graymap.levels >= _cut(graymap, threshold)))
+    return BitMap(_frozen(_framed(graymap, graymap.levels >= _cut(graymap, threshold))))
 
 
 def _firing_counts(graymap: GrayMap, thresholds: tuple[float, ...]) -> list[int]:
@@ -224,6 +272,8 @@ def _firing_counts(graymap: GrayMap, thresholds: tuple[float, ...]) -> list[int]
     or above the next cut, and the other thresholds are counted on those
     alone, since the cuts ascend with the thresholds. So a never-zero map,
     which fires everywhere at threshold 0, is compared whole only twice.
+    Every cut is positive, so only a map's box is counted: the zeros
+    outside it never fire.
     """
     cuts = [_cut(graymap, t) for t in thresholds]
     levels = graymap.levels
@@ -238,7 +288,8 @@ class TunnelTarget:
 
     ``keypoint_count`` is the number of distinct keypoint pixels (coincident
     keypoints deduplicate) and equals the number of 1.0-valued pixels; it is
-    the normalizer of the penalty-reduced focal loss.
+    the normalizer of the penalty-reduced focal loss. Only the map's box is
+    checked, since every pixel outside it is 0.
     """
 
     map: GrayMap
@@ -247,15 +298,15 @@ class TunnelTarget:
     def __post_init__(self) -> None:
         if self.keypoint_count < 1:
             raise ValueError("keypoint_count must be >= 1")
-        v = self.map.values
-        # One frame comparison, then counts over the few placed values, not
-        # np.unique: sorting the frame is slower and loads numpy.ma. The
-        # sorted values are taken only for the message. The placed values
-        # are counted as a list: comparing them as an array raised
-        # make-targets' peak RSS by about 0.3 MiB in the benchmark's workers.
+        v = _box_values(self.map)
+        # One box comparison, then counts over the few placed values, not
+        # np.unique: sorting is slower and loads numpy.ma. The sorted values
+        # are taken only for the message, with the zeros outside the box.
         placed = v[v != 0.0].tolist()
         ones = placed.count(1.0)
         if placed.count(TUNNEL_VALUE) + ones != len(placed):
+            if v.shape != self.map.frame:
+                v = np.append(v, 0.0)
             allowed = {0.0, TUNNEL_VALUE, 1.0}
             raise ValueError(
                 f"tunnel target values must be in {allowed}, got {np.unique(v)}"
@@ -368,10 +419,11 @@ def build_tunnel_target(
     a positive response becomes 0.7 (the "tunnel" of plausible edge
     locations), and every pixel hosting a keypoint is overwritten with 1.0.
 
-    Only the rings' box, grown by the filter's 1-pixel reach, is drawn and
-    dilated: no pixel outside it is within reach of the boundary. The
-    result is written into a zero float frame, which the target's map keeps
-    without a copy.
+    Only the rings' box, grown by the filter's 1-pixel reach, is drawn,
+    dilated and checked: no pixel outside it is within reach of the
+    boundary. The target's map keeps that box grid without a copy, placed
+    in the ``height`` x ``width`` frame; no frame-sized array is built
+    until something reads the map's ``values``.
     """
     _check_dims(height, width)
     rings = _ring_pixels(inst, height, width)
@@ -381,9 +433,9 @@ def build_tunnel_target(
             f"instance {inst.instance_id} has no keypoints; cannot build a target"
         )
     tunnel, top, left = _draw_rings(rings, height, width, 1)
-    values = np.zeros((height, width))
-    box = values[top:top + tunnel.shape[0], left:left + tunnel.shape[1]]
+    box = np.zeros(tunnel.shape)
     box[_dilate3x3(tunnel)] = TUNNEL_VALUE
     for px, py in keypoints:
-        values[py, px] = 1.0
-    return TunnelTarget(map=GrayMap(_frozen(values)), keypoint_count=len(keypoints))
+        box[py - top, px - left] = 1.0
+    graymap = GrayMap(_frozen(box), frame=(height, width), origin=(top, left))
+    return TunnelTarget(map=graymap, keypoint_count=len(keypoints))

@@ -250,6 +250,18 @@ class TestMakeTargets:
         assert "allocate" in err
         assert "Traceback" not in err
 
+    def test_unallocatable_image_leaves_no_target_file(self, tmp_path, capsys):
+        # The target's box is built; its sample frame fails to allocate
+        # before the file is opened.
+        doc = json.loads(json.dumps(ANN_DOC))
+        doc["images"][0].update(height=10**9, width=10**9)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["make-targets", str(path), "--out", str(out)]) == 1
+        assert "allocate" in capsys.readouterr().err
+        assert list(out.glob("1_*.pgm")) == []
+
     def test_negative_instance_id_subsamples(self, tmp_path, capsys):
         doc = json.loads(json.dumps(ANN_DOC))
         doc["annotations"][1]["id"] = -5

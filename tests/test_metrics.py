@@ -1119,7 +1119,7 @@ class TestEvaluate:
         assert len(calls["binarize"]) == len(distinct)
         assert len(calls["match_instance"]) == len(distinct)
         # Every slot whose map fires everywhere thins the whole frame itself.
-        everywhere = sum(bool((m.levels > 0).all()) for m in predictions[1].values())
+        everywhere = sum(bool((m.values > 0).all()) for m in predictions[1].values())
         assert everywhere == 2
         assert sum(edges.bits.all() for edges, in calls["thin"]) == everywhere
         ods, ois, curve = eval_oracle(

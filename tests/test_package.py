@@ -1,6 +1,6 @@
 """The package's public names are exactly those its modules export, its
 version is declared once, only the raster module freezes or plants the
-arrays a map holds or reads a gray map's levels, importing the command
+arrays a map holds or reads a gray map's levels or box, importing the command
 line loads no scipy module, and make-targets loads no numpy.ma."""
 
 import ast
@@ -82,14 +82,16 @@ def test_only_raster_freezes_or_plants_a_maps_arrays():
 
 
 def test_only_raster_reads_a_gray_maps_levels():
-    # raster.py alone knows how a gray map stores its levels, so it alone
-    # binarizes one: no other module reads a .levels or .maxval attribute.
+    # raster.py alone knows how a gray map stores its levels and places its
+    # box in the frame, so it alone binarizes one or reaches its box: no
+    # other module reads a .levels, .maxval, .frame or .origin attribute.
     breaches = [
         f"{path.name}:{node.lineno} reads .{node.attr}"
         for path in sorted((SRC / "pointedge").glob("*.py"))
         if path.name != "raster.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in ("levels", "maxval")
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("levels", "maxval", "frame", "origin")
     ]
     assert breaches == []
 

@@ -1,5 +1,7 @@
 """Tests for the map types, edge rasterization and tunnel targets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,13 @@ from pointedge import (
     BitMap,
     GrayMap,
     TunnelTarget,
+    binarize,
     build_tunnel_target,
     rasterize_polyline,
+    write_graymap,
 )
+from pointedge.metrics import THRESHOLDS
+from pointedge.raster import _firing_counts
 
 from helpers import (
     make_instance,
@@ -149,6 +155,75 @@ class TestBitMapGrayMap:
         assert not np.shares_memory(gm.values, values)
 
 
+class TestBoxedGrayMap:
+    """A map that holds a box of its frame agrees, in every reading, with
+    the frame map whose pixels outside the box are 0."""
+
+    FRAME = (7, 9)
+
+    @staticmethod
+    def box_levels(kind, shape):
+        rng = np.random.default_rng(sum(shape))
+        if kind == "float":
+            # Zeros, exact thresholds, and values between them.
+            grid = [0.0, *THRESHOLDS, 1.0]
+            picks = rng.choice(grid, size=shape)
+            return np.where(rng.random(shape) < 0.5, picks, rng.random(shape)), None
+        return rng.integers(0, 65536, size=shape).astype(np.uint16), 65535
+
+    @pytest.mark.parametrize("kind", ["float", "samples"])
+    @pytest.mark.parametrize(
+        "shape, origin",
+        [
+            ((3, 4), (0, 0)),
+            ((3, 4), (0, 5)),
+            ((3, 4), (4, 0)),
+            ((3, 4), (4, 5)),
+            ((1, 1), (3, 4)),
+            ((7, 9), (0, 0)),
+        ],
+        ids=["top-left", "top-right", "bottom-left", "bottom-right", "1x1", "frame"],
+    )
+    def test_boxed_map_reads_as_its_frame_map(self, kind, shape, origin, tmp_path):
+        levels, maxval = self.box_levels(kind, shape)
+        (top, left), (rows, cols) = origin, shape
+        frame_levels = np.zeros(self.FRAME, dtype=levels.dtype)
+        frame_levels[top:top + rows, left:left + cols] = levels
+        boxed = GrayMap(levels, maxval, frame=self.FRAME, origin=origin)
+        whole = GrayMap(frame_levels, maxval)
+        assert (boxed.height, boxed.width) == self.FRAME
+        assert np.array_equal(boxed.values, whole.values)
+        assert np.array_equal(boxed.values, GrayMap(boxed.values).values)
+        assert not boxed.values.flags.writeable
+        for t in THRESHOLDS:
+            assert np.array_equal(binarize(boxed, t).bits, binarize(whole, t).bits), t
+        assert _firing_counts(boxed, THRESHOLDS) == _firing_counts(whole, THRESHOLDS)
+        write_graymap(boxed, tmp_path / "boxed.pgm")
+        write_graymap(whole, tmp_path / "whole.pgm")
+        assert (tmp_path / "boxed.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
+
+    @pytest.mark.parametrize(
+        "placement, message",
+        [
+            ({"origin": (-1, 0)}, "GrayMap origin must not be negative, got (-1, 0)"),
+            ({"origin": (0, -2)}, "GrayMap origin must not be negative, got (0, -2)"),
+            ({"origin": (5, 0)}, "GrayMap box of 3x4 at (5, 0) leaves its 7x9 frame"),
+            ({"origin": (0, 6)}, "GrayMap box of 3x4 at (0, 6) leaves its 7x9 frame"),
+            ({"frame": (2, 9)}, "GrayMap box of 3x4 at (0, 0) leaves its 2x9 frame"),
+            ({"origin": (1.5, 0)}, "GrayMap origin must be two integers, got (1.5, 0)"),
+            ({"origin": 3}, "GrayMap origin must be two integers, got 3"),
+            ({"origin": (1,)}, "GrayMap origin must be two integers, got (1,)"),
+            ({"frame": (7.0, 9)}, "GrayMap frame must be two integers, got (7.0, 9)"),
+            ({"frame": "79"}, "GrayMap frame must be two integers, got '79'"),
+        ],
+    )
+    def test_bad_placement_is_named(self, placement, message):
+        placement = {"frame": self.FRAME, **placement}
+        with pytest.raises(ValueError) as info:
+            GrayMap(np.full((3, 4), 0.5), **placement)
+        assert str(info.value) == message
+
+
 class TestRasterizePolyline:
     def test_coincident_keypoints_single_pixel(self):
         inst = make_instance(((4, 4), (4, 4), (4, 4)))
@@ -253,29 +328,61 @@ class TestBuildTunnelTarget:
             TunnelTarget(off_grid, 1)
         assert str(info.value) == message
 
+    def test_off_grid_message_of_a_box_counts_the_zeros_outside_it(self):
+        off_grid = GrayMap([[0.5, 1.0]], frame=(3, 3), origin=(1, 1))
+        message = "tunnel target values must be in {0.0, 0.7, 1.0}, got [0.  0.5 1. ]"
+        with pytest.raises(ValueError) as info:
+            TunnelTarget(off_grid, 1)
+        assert str(info.value) == message
 
-def assert_matches_the_full_frame_oracle(inst, height, width):
+    def test_memory_is_bounded_by_the_box(self, tmp_path):
+        # A small ring in a 1024x2048 frame: its float frame would take
+        # 16 MiB, and its sample frame takes 4 MiB.
+        inst = make_instance(((1000, 500), (1040, 510), (1020, 540)))
+        path = tmp_path / "target.pgm"
+        build_tunnel_target(inst, 1024, 2048)  # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            target = build_tunnel_target(inst, 1024, 2048)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            write_graymap(target.map, path)
+            write_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build_peak < 2**20
+        assert write_peak < 1024 * 2048 * 2 + 2 * target.map.levels.nbytes
+        assert path.stat().st_size == len(b"P5\n2048 1024\n65535\n") + 1024 * 2048 * 2
+
+
+def assert_matches_the_full_frame_oracle(inst, height, width, tmp_path):
     assert np.array_equal(
         rasterize_polyline(inst, height, width).bits, polyline_oracle(inst, height, width)
     )
     target = build_tunnel_target(inst, height, width)
     values, keypoint_count = tunnel_target_oracle(inst, height, width)
+    assert (target.map.height, target.map.width) == (height, width)
     assert target.map.values.dtype == np.float64
     assert np.array_equal(target.map.values, values)
     assert target.keypoint_count == keypoint_count
     assert not target.map.values.flags.writeable
+    write_graymap(target.map, tmp_path / "target.pgm")
+    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
+    samples = np.rint(values * 65535).astype(">u2").tobytes()
+    assert (tmp_path / "target.pgm").read_bytes() == header + samples
 
 
 class TestFullFrameOracle:
     """Rasters and tunnel targets equal the ones drawn over the whole frame."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_seeded_instances(self, seed):
+    def test_seeded_instances(self, seed, tmp_path):
         rng = np.random.default_rng(seed)
         for height, width in ((20, 20), (17, 31), (40, 9)):
             for _ in range(5):
                 assert_matches_the_full_frame_oracle(
-                    random_star_instance(rng, height, width), height, width
+                    random_star_instance(rng, height, width), height, width, tmp_path
                 )
 
     @pytest.mark.parametrize(
@@ -290,36 +397,36 @@ class TestFullFrameOracle:
         ],
         ids=["left", "top", "right", "bottom", "all-four", "far"],
     )
-    def test_rings_clipped_at_the_borders(self, ring):
-        assert_matches_the_full_frame_oracle(make_instance(ring), 9, 11)
+    def test_rings_clipped_at_the_borders(self, ring, tmp_path):
+        assert_matches_the_full_frame_oracle(make_instance(ring), 9, 11, tmp_path)
 
-    def test_multi_ring_instances(self):
+    def test_multi_ring_instances(self, tmp_path):
         inst = make_instance(
             ((1, 1), (6, 1), (4, 5)),
             ((8, 8), (12, 9), (10, 13)),
             ((3, 10), (3.2, 10.4), (2.6, 9.8)),
         )
-        assert_matches_the_full_frame_oracle(inst, 15, 14)
+        assert_matches_the_full_frame_oracle(inst, 15, 14, tmp_path)
         # Overlapping rings, and rings whose tunnels touch.
         inst = make_instance(((2, 2), (9, 2), (5, 8)), ((3, 3), (10, 4), (6, 9)))
-        assert_matches_the_full_frame_oracle(inst, 12, 12)
+        assert_matches_the_full_frame_oracle(inst, 12, 12, tmp_path)
         inst = make_instance(((1, 1), (4, 1), (2, 3)), ((6, 1), (9, 1), (7, 3)))
-        assert_matches_the_full_frame_oracle(inst, 6, 11)
+        assert_matches_the_full_frame_oracle(inst, 6, 11, tmp_path)
 
     @pytest.mark.parametrize("at", [(0, 0), (4, 3), (10, 8), (0, 8), (10, 0)])
-    def test_one_pixel_rings(self, at):
+    def test_one_pixel_rings(self, at, tmp_path):
         x, y = at
         inst = make_instance(((x, y), (x + 0.2, y - 0.3), (x - 0.4, y + 0.1)))
-        assert_matches_the_full_frame_oracle(inst, 9, 11)
+        assert_matches_the_full_frame_oracle(inst, 9, 11, tmp_path)
 
     @pytest.mark.parametrize("height, width", [(1, 1), (1, 7), (7, 1), (2, 9)])
-    def test_thin_frames(self, height, width):
+    def test_thin_frames(self, height, width, tmp_path):
         for ring in (
             ((0, 0), (width - 1, 0), (width / 2, height - 1)),
             ((-3, -3), (width + 3, height + 3), (2, 0)),
             ((1, 0), (1, 0), (1, 0)),
         ):
-            assert_matches_the_full_frame_oracle(make_instance(ring), height, width)
+            assert_matches_the_full_frame_oracle(make_instance(ring), height, width, tmp_path)
 
 
 def test_rasterize_rejects_bad_dimensions():
