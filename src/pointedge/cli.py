@@ -139,10 +139,10 @@ class _LazyMaps(UserDict):
 def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
     """Read the prediction manifest into per-image maps that read on lookup.
 
-    Checks the manifest's structure, id types, category agreement and
-    duplicates; :func:`evaluate` checks the ids against the dataset and reads
-    each map when its image is scored. Instances absent from the manifest are
-    simply not predicted.
+    Checks the manifest's structure, id types, annotated ids, category
+    agreement and duplicates, naming the failing entry; :func:`evaluate`
+    reads each map when its image is scored. Instances absent from the
+    manifest are simply not predicted.
     """
     manifest_path = pred_dir / "manifest.json"
     try:
@@ -151,6 +151,7 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
         raise ValueError(f"{manifest_path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError(f"{manifest_path}: expected an object with an 'entries' list")
+    images = {image.image_id for image in dataset.images}
     categories = {
         (image.image_id, inst.instance_id): inst.category_id
         for image in dataset.images
@@ -168,7 +169,13 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
             _as_int(entry[key], where, key)
             for key in ("image_id", "instance_id", "category_id")
         )
-        expected = categories.get((image_id, instance_id), category_id)
+        if (image_id, instance_id) not in categories:
+            raise ValueError(
+                f"{where}: image {image_id} has no annotated instance_id {instance_id}"
+                if image_id in images
+                else f"{where}: image_id {image_id} is not an annotated image"
+            )
+        expected = categories[image_id, instance_id]
         if category_id != expected:
             raise ValueError(
                 f"{where}: category_id {category_id} does not match "
@@ -246,7 +253,7 @@ def _random_target(rng: np.random.Generator, height: int, width: int) -> TunnelT
     )
     if not (values == 1.0).any():
         values[rng.integers(height), rng.integers(width)] = 1.0
-    return TunnelTarget(GrayMap(values), int((values == 1.0).sum()))
+    return TunnelTarget(GrayMap(values))
 
 
 def cmd_loss_check(args: argparse.Namespace) -> Outcome:

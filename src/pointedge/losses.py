@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .raster import TUNNEL_VALUE, GrayMap, TunnelTarget
+from .raster import TUNNEL_VALUE, GrayMap, TunnelTarget, _nonzero
 
 __all__ = [
     "FocalConfig",
@@ -92,14 +92,14 @@ def penalty_reduced_focal(
     negative branch's weight ``(1-0)^beta`` is exactly 1 (``gamma > 0``, so
     such a pixel is never positive). Every pixel's term and gradient are
     therefore first computed as if its target were 0, over the whole frame;
-    only the nonzero target pixels are then recomputed with both branches
-    in full and overwritten. Each pixel gets the same floating-point result
-    as the dense two-branch formula, and the sum runs over the same array.
+    only the nonzero pixels of the target's box are then recomputed with both
+    branches in full and overwritten. Each pixel gets the same floating-point
+    result as the dense two-branch formula, and the sum runs over the same array.
     """
     p_raw = _grid(pred)
-    y = target.map.values
-    if p_raw.shape != y.shape:
-        raise ValueError(f"prediction shape {p_raw.shape} != target shape {y.shape}")
+    shape = (target.map.height, target.map.width)
+    if p_raw.shape != shape:
+        raise ValueError(f"prediction shape {p_raw.shape} != target shape {shape}")
     n = target.keypoint_count
     # C order, so that ravel() below is a view that takes the fix-up writes.
     p = np.ascontiguousarray(np.clip(p_raw, CLAMP_EPS, 1.0 - CLAMP_EPS))
@@ -119,8 +119,8 @@ def penalty_reduced_focal(
     term = p_alpha
     term *= log_1p  # p^alpha log(1-p)
 
-    idx = np.flatnonzero(y)
-    yv, pv, lv = y.ravel()[idx], p.ravel()[idx], log_1p.ravel()[idx]
+    idx, yv = _nonzero(target.map)
+    pv, lv = p.ravel()[idx], log_1p.ravel()[idx]
     log_p = np.log(pv)
     pos_term = yv * (1.0 - pv) ** alpha * log_p
     neg_term = (1.0 - yv) ** cfg.beta * pv ** alpha * lv

@@ -18,7 +18,7 @@ import numpy as np
 
 from .annotations import Dataset, ImageRecord
 from .raster import (
-    BitMap, GrayMap, _firing_counts, _frozen, _with_flat, binarize, rasterize_polyline,
+    BitMap, GrayMap, _bitmap, _firing_counts, _frozen, binarize, rasterize_polyline,
 )
 
 __all__ = [
@@ -301,25 +301,21 @@ def thin(edges: BitMap) -> BitMap:
     (min(h, w) - 1) // 2 passes, which peel one ring each, and thins only
     the 1- or 2-pixel-thick core they leave: the output is the same.
 
-    The returned map keeps the output grid without a copy and carries its
-    :attr:`~pointedge.BitMap.flat` already: the set pixels' indices in the
-    box grid, offset into the frame, handed over with the map, so no
-    thinned map, prediction or ground truth, is scanned over the whole
-    frame for them.
+    ``raster`` places the thinned box in the frame and hands the returned
+    map its :attr:`~pointedge.BitMap.flat` from the box, so no thinned map,
+    prediction or ground truth, is scanned over the whole frame for them.
     """
-    out = np.zeros_like(edges.bits)
     rows = np.flatnonzero(edges.bits.any(axis=1))
     if not rows.size:
-        return _with_flat(out, np.empty(0, dtype=np.intp))
+        return _bitmap(np.zeros((0, 0), dtype=bool), (0, 0), (edges.height, edges.width))
     cols = np.flatnonzero(edges.bits.any(axis=0))
     top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     if edges.bits[top:bottom, left:right].all():
         k = (min(bottom - top, right - left) - 1) // 2
         top, bottom, left, right = top + k, bottom - k, left + k, right - k
-    box = (slice(top, bottom), slice(left, right))
     # A zero border: every neighbour of a set pixel is in the grid.
     a = np.zeros((bottom - top + 2, right - left + 2), dtype=bool)
-    a[1:-1, 1:-1] = edges.bits[box]
+    a[1:-1, 1:-1] = edges.bits[top:bottom, left:right]
     codes = _codes(a)
     offsets = _neighbour_offsets(a.shape[1])
     marks = (a.ravel().copy(), a.ravel().copy())
@@ -327,9 +323,7 @@ def thin(edges: BitMap) -> BitMap:
         _passes(a.ravel(), codes.ravel(), marks, offsets)
         # The passes just reached a fixed point, so an unbroken map is final.
         if not _break_blocks(a, codes, marks, offsets):
-            out[box] = a[1:-1, 1:-1]
-            y, x = np.divmod(np.flatnonzero(a), a.shape[1])
-            return _with_flat(out, (y + (top - 1)) * out.shape[1] + (x + (left - 1)))
+            return _bitmap(a[1:-1, 1:-1], (top, left), (edges.height, edges.width))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,7 @@ def _gt_windows(gt: BitMap, d: float) -> tuple[np.ndarray, np.ndarray]:
     as ``gt`` lives, or until it is matched at another ``d``."""
     entry = _WINDOWS.get(gt)
     if entry is None or entry[0] != d:
-        entry = _WINDOWS[gt] = (d, *_windows(gt.flat, gt.bits.shape, d))
+        entry = _WINDOWS[gt] = (d, *_windows(gt.flat, (gt.height, gt.width), d))
     return entry[1], entry[2]
 
 
@@ -502,9 +496,9 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
     indices per window (see :func:`_candidates`), so memory never grows as
     ``n_gt x n_pred``.
     """
-    shape = pred.bits.shape
-    if shape != gt.bits.shape:
-        raise ValueError(f"prediction shape {shape} != ground truth shape {gt.bits.shape}")
+    shape, gt_shape = (pred.height, pred.width), (gt.height, gt.width)
+    if shape != gt_shape:
+        raise ValueError(f"prediction shape {shape} != ground truth shape {gt_shape}")
     n_gt, n_pred = len(gt.flat), len(pred.flat)
     if n_gt == 0 or n_pred == 0:
         return MatchResult((-1,) * n_gt, pred_total=n_pred)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,8 +64,8 @@ class BitMap:
     a function that built a bool array hands it over without a copy, and no
     caller's later writes reach the map; 0/1 integers and lists are
     converted. ``flat`` holds the set pixels' flat indices in ascending
-    order, read-only; :func:`pointedge.thin` hands them over with the map
-    it returns.
+    order, read-only; a map placed from a box (a thinned map, a polyline
+    raster) is handed them from the box.
     """
 
     bits: np.ndarray
@@ -95,15 +95,6 @@ class BitMap:
     def count(self) -> int:
         """Number of set pixels."""
         return int(self.bits.sum())
-
-
-def _with_flat(bits: np.ndarray, flat: np.ndarray) -> BitMap:
-    """A map of the freshly built ``bits`` that takes ``flat``, their set
-    pixels' sorted flat indices, as its :attr:`BitMap.flat`; both arrays are
-    kept without a copy."""
-    edges = BitMap(_frozen(bits))
-    vars(edges)["flat"] = _frozen(flat)
-    return edges
 
 
 def _placement(pair: object, name: str) -> tuple[int, int]:
@@ -207,16 +198,38 @@ def _box_values(graymap: GrayMap) -> np.ndarray:
     return np.divide(graymap.levels, graymap.maxval, dtype=np.float64)
 
 
-def _framed(graymap: GrayMap, box: np.ndarray) -> np.ndarray:
-    """``box``, an array of the map's box shape, placed in its frame: ``box``
-    itself where the box is the frame, else a zero frame of its dtype with
-    ``box`` pasted at the map's origin."""
-    if box.shape == graymap.frame:
+def _placed(box: np.ndarray, origin: tuple[int, int], frame: tuple[int, int]) -> np.ndarray:
+    """``box`` at ``origin`` in a zero ``frame`` of its dtype, or itself if it fills it."""
+    if box.shape == frame:
         return box
-    frame = np.zeros(graymap.frame, dtype=box.dtype)
-    top, left = graymap.origin
-    frame[top:top + box.shape[0], left:left + box.shape[1]] = box
-    return frame
+    out = np.zeros(frame, dtype=box.dtype)
+    top, left = origin
+    out[top:top + box.shape[0], left:left + box.shape[1]] = box
+    return out
+
+
+def _framed(graymap: GrayMap, box: np.ndarray) -> np.ndarray:
+    """``box``, an array of the map's box shape, placed in its frame."""
+    return _placed(box, graymap.origin, graymap.frame)
+
+
+def _frame_flat(box: np.ndarray, origin: tuple[int, int], width: int) -> np.ndarray:
+    """The ascending frame flat indices of the nonzero pixels of ``box`` at ``origin``."""
+    y, x = np.divmod(np.flatnonzero(box), box.shape[1])
+    return (y + origin[0]) * width + (x + origin[1])
+
+
+def _bitmap(box: np.ndarray, origin: tuple[int, int], frame: tuple[int, int]) -> BitMap:
+    """A ``frame`` map of the bool ``box`` at ``origin``, its ``flat`` taken from the box."""
+    edges = BitMap(_frozen(_placed(box, origin, frame)))
+    vars(edges)["flat"] = _frozen(_frame_flat(box, origin, frame[1]))
+    return edges
+
+
+def _nonzero(graymap: GrayMap) -> tuple[np.ndarray, np.ndarray]:
+    """The map's nonzero pixels, from its box: ascending frame flat indices, values."""
+    box = _box_values(graymap)
+    return _frame_flat(box, graymap.origin, graymap.width), box[box != 0.0]
 
 
 # A float map cut here at thresholds at or below 0 fires exactly ``values > 0``.
@@ -286,18 +299,15 @@ def _firing_counts(graymap: GrayMap, thresholds: tuple[float, ...]) -> list[int]
 class TunnelTarget:
     """A training target whose values are exactly {0, 0.7, 1.0}.
 
-    ``keypoint_count`` is the number of distinct keypoint pixels (coincident
-    keypoints deduplicate) and equals the number of 1.0-valued pixels; it is
-    the normalizer of the penalty-reduced focal loss. Only the map's box is
-    checked, since every pixel outside it is 0.
+    ``keypoint_count``, the focal loss's normalizer, is counted by the check:
+    one pixel at 1.0 per distinct keypoint pixel, and a map with none is
+    rejected. Only the box is checked, since every pixel outside it is 0.
     """
 
     map: GrayMap
-    keypoint_count: int
+    keypoint_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.keypoint_count < 1:
-            raise ValueError("keypoint_count must be >= 1")
         v = _box_values(self.map)
         # One box comparison, then counts over the few placed values, not
         # np.unique: sorting is slower and loads numpy.ma. The sorted values
@@ -311,10 +321,9 @@ class TunnelTarget:
             raise ValueError(
                 f"tunnel target values must be in {allowed}, got {np.unique(v)}"
             )
-        if ones != self.keypoint_count:
-            raise ValueError(
-                f"{ones} pixels at 1.0 but keypoint_count={self.keypoint_count}"
-            )
+        if not ones:
+            raise ValueError("tunnel target has no pixel at 1.0, so no keypoint")
+        object.__setattr__(self, "keypoint_count", ones)
 
 
 def _check_dims(height: int, width: int) -> None:
@@ -385,14 +394,12 @@ def rasterize_polyline(inst: InstanceAnnotation, height: int, width: int) -> Bit
 
     Consecutive keypoints of each ring (including the closing segment) are
     connected with 8-connected discrete lines between their rounded pixels.
-    The lines are drawn into the rings' pixel box, which is then pasted into
-    a zero frame.
+    The lines are drawn into the rings' pixel box, which :func:`_bitmap`
+    places in the frame.
     """
     _check_dims(height, width)
     box, top, left = _draw_rings(_ring_pixels(inst, height, width), height, width, 0)
-    bits = np.zeros((height, width), dtype=bool)
-    bits[top:top + box.shape[0], left:left + box.shape[1]] = box
-    return BitMap(_frozen(bits))
+    return _bitmap(box, (top, left), (height, width))
 
 
 def _dilate3x3(bits: np.ndarray) -> np.ndarray:
@@ -437,5 +444,4 @@ def build_tunnel_target(
     box[_dilate3x3(tunnel)] = TUNNEL_VALUE
     for px, py in keypoints:
         box[py - top, px - left] = 1.0
-    graymap = GrayMap(_frozen(box), frame=(height, width), origin=(top, left))
-    return TunnelTarget(map=graymap, keypoint_count=len(keypoints))
+    return TunnelTarget(GrayMap(_frozen(box), frame=(height, width), origin=(top, left)))

@@ -64,7 +64,7 @@ def random_tunnel_target(rng: np.random.Generator) -> TunnelTarget:
     )
     if not (values == 1.0).any():
         values[rng.integers(GRID), rng.integers(GRID)] = 1.0
-    return TunnelTarget(GrayMap(values), int((values == 1.0).sum()))
+    return TunnelTarget(GrayMap(values))
 
 
 def test_criterion_1_gradient_fidelity():

@@ -397,6 +397,28 @@ class TestEval:
         assert code == 1
         assert "instance_id 99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("instance_id", [999, 3])  # 3 is annotated, in image 2
+    def test_unknown_instance_names_the_manifest_entry(self, instance_id, ann_path, tmp_path, capsys):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        doc = json.loads((preds / "manifest.json").read_text())
+        doc["entries"][1]["instance_id"] = instance_id
+        (preds / "manifest.json").write_text(json.dumps(doc))
+        assert main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {preds / 'manifest.json'}: entry 1: "
+            f"image 1 has no annotated instance_id {instance_id}\n"
+        )
+
+    def test_unknown_image_names_the_manifest_entry(self, ann_path, tmp_path, capsys):
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        doc = json.loads((preds / "manifest.json").read_text())
+        doc["entries"][2]["image_id"] = 77
+        (preds / "manifest.json").write_text(json.dumps(doc))
+        assert main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {preds / 'manifest.json'}: entry 2: image_id 77 is not an annotated image\n"
+        )
+
     def test_unallocatable_image_without_predictions_exits_1(self, ann_path, tmp_path, capsys):
         # The instance has no prediction, so its ground-truth raster is the
         # first thing to allocate.

@@ -32,11 +32,8 @@ FOCAL_CONFIGS = [
 ]
 
 
-def target_from(values, keypoint_count=None) -> TunnelTarget:
-    arr = np.asarray(values, dtype=np.float64)
-    if keypoint_count is None:
-        keypoint_count = int((arr == 1.0).sum())
-    return TunnelTarget(GrayMap(arr), keypoint_count)
+def target_from(values) -> TunnelTarget:
+    return TunnelTarget(GrayMap(np.asarray(values, dtype=np.float64)))
 
 
 class TestPenaltyReducedFocal:
@@ -141,6 +138,24 @@ class TestPenaltyReducedFocal:
                 res = penalty_reduced_focal(given, target, cfg)
                 assert res.value == want_value
                 assert np.array_equal(res.gradient, want_gradient)
+
+    @pytest.mark.parametrize("cfg", FOCAL_CONFIGS, ids=repr)
+    def test_a_boxed_target_is_read_from_its_box(self, cfg):
+        # The target's float frame is never built, and the result is the
+        # dense formula's, for a built target and a boxed map of samples.
+        rng = np.random.default_rng(30)
+        inst = make_instance(((10, 8), (80, 14), (44, 55)), ((60, 40), (70, 41), (65, 50)))
+        samples = np.array([[0, 7, 10], [7, 10, 0]], dtype=np.uint8)
+        for target in (
+            build_tunnel_target(inst, 64, 96),
+            TunnelTarget(GrayMap(samples, 10, frame=(64, 96), origin=(60, 93))),
+        ):
+            pred = rng.random((64, 96))
+            res = penalty_reduced_focal(pred, target, cfg)
+            assert "values" not in vars(target.map)
+            want_value, want_gradient = focal_oracle(pred, target, cfg)
+            assert res.value == want_value
+            assert np.array_equal(res.gradient, want_gradient)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_prediction_rejected(self, bad):

@@ -4,6 +4,7 @@ arrays a map holds or reads a gray map's levels or box, importing the command
 line loads no scipy module, and make-targets loads no numpy.ma."""
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -96,8 +97,10 @@ def test_only_raster_reads_a_gray_maps_levels():
     assert breaches == []
 
 
+@functools.cache
 def scipy_modules_loaded_by_cli_import() -> list[str]:
-    """The scipy modules ``import pointedge.cli`` loads in a fresh interpreter."""
+    """The scipy modules ``import pointedge.cli`` loads in a fresh interpreter,
+    found once per test session."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = (
         "import sys, pointedge.cli; "

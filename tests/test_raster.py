@@ -314,25 +314,38 @@ class TestBuildTunnelTarget:
         assert int((target.map.values == 1.0).sum()) == 2
 
     def test_tunnel_target_invariant_enforced(self):
-        good = GrayMap([[0.0, 1.0], [TUNNEL_VALUE, 0.0]])
-        TunnelTarget(good, 1)
+        good = GrayMap([[0.0, 1.0], [TUNNEL_VALUE, 1.0]])
+        assert TunnelTarget(good).keypoint_count == 2
         with pytest.raises(ValueError):
-            TunnelTarget(good, 2)  # wrong keypoint count
-        with pytest.raises(ValueError):
-            TunnelTarget(GrayMap([[0.5, 1.0]]), 1)  # off-grid value
+            TunnelTarget(GrayMap([[0.5, 1.0]]))  # off-grid value
+
+    @pytest.mark.parametrize("level", [0.0, TUNNEL_VALUE])
+    def test_a_target_without_a_pixel_at_one_is_rejected(self, level):
+        box = np.full((2, 3), level)
+        message = "tunnel target has no pixel at 1.0, so no keypoint"
+        for graymap in (GrayMap(box), GrayMap(box, frame=(5, 7), origin=(3, 4))):
+            with pytest.raises(ValueError) as info:
+                TunnelTarget(graymap)
+            assert str(info.value) == message
+
+    def test_keypoint_count_is_counted_in_the_box(self):
+        box = np.array([[1.0, TUNNEL_VALUE], [1.0, 1.0]])
+        assert TunnelTarget(GrayMap(box, frame=(9, 9), origin=(7, 0))).keypoint_count == 3
+        samples = np.array([[10, 7, 0, 10]], dtype=np.uint8)
+        assert TunnelTarget(GrayMap(samples, 10, frame=(2, 4), origin=(1, 0))).keypoint_count == 2
 
     def test_off_grid_message_lists_the_sorted_distinct_values(self):
         off_grid = GrayMap([[0.5, 1.0, 0.0, 0.5]])
         message = "tunnel target values must be in {0.0, 0.7, 1.0}, got [0.  0.5 1. ]"
         with pytest.raises(ValueError) as info:
-            TunnelTarget(off_grid, 1)
+            TunnelTarget(off_grid)
         assert str(info.value) == message
 
     def test_off_grid_message_of_a_box_counts_the_zeros_outside_it(self):
         off_grid = GrayMap([[0.5, 1.0]], frame=(3, 3), origin=(1, 1))
         message = "tunnel target values must be in {0.0, 0.7, 1.0}, got [0.  0.5 1. ]"
         with pytest.raises(ValueError) as info:
-            TunnelTarget(off_grid, 1)
+            TunnelTarget(off_grid)
         assert str(info.value) == message
 
     def test_memory_is_bounded_by_the_box(self, tmp_path):
@@ -357,9 +370,12 @@ class TestBuildTunnelTarget:
 
 
 def assert_matches_the_full_frame_oracle(inst, height, width, tmp_path):
-    assert np.array_equal(
-        rasterize_polyline(inst, height, width).bits, polyline_oracle(inst, height, width)
-    )
+    edges, want = rasterize_polyline(inst, height, width), polyline_oracle(inst, height, width)
+    assert np.array_equal(edges.bits, want)
+    # The set pixels' flat indices come with the map, from its box.
+    assert "flat" in vars(edges) and not edges.flat.flags.writeable
+    assert edges.flat.dtype == np.intp
+    assert np.array_equal(edges.flat, np.flatnonzero(want))
     target = build_tunnel_target(inst, height, width)
     values, keypoint_count = tunnel_target_oracle(inst, height, width)
     assert (target.map.height, target.map.width) == (height, width)
