@@ -36,7 +36,7 @@ from .kernels import (
     dense_head,
 )
 from .losses import FocalConfig, dice_loss, finite_diff_check, penalty_reduced_focal
-from .metrics import EvalConfig, evaluate
+from .metrics import EvalConfig, _annotated, _first_unknown, evaluate
 from .pgm import read_graymap, write_graymap
 from .raster import TUNNEL_VALUE, GrayMap, TunnelTarget, build_tunnel_target
 
@@ -151,12 +151,7 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
         raise ValueError(f"{manifest_path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError(f"{manifest_path}: expected an object with an 'entries' list")
-    images = {image.image_id for image in dataset.images}
-    categories = {
-        (image.image_id, inst.instance_id): inst.category_id
-        for image in dataset.images
-        for inst in image.instances
-    }
+    annotated = _annotated(dataset)
     predictions: dict[int, _LazyMaps] = {}
     for pos, entry in enumerate(doc["entries"]):
         where = f"{manifest_path}: entry {pos}"
@@ -169,13 +164,14 @@ def _load_predictions(pred_dir: Path, dataset: Dataset) -> dict[int, _LazyMaps]:
             _as_int(entry[key], where, key)
             for key in ("image_id", "instance_id", "category_id")
         )
-        if (image_id, instance_id) not in categories:
+        unknown = _first_unknown(annotated, {image_id: (instance_id,)})
+        if unknown is not None:
             raise ValueError(
-                f"{where}: image {image_id} has no annotated instance_id {instance_id}"
-                if image_id in images
-                else f"{where}: image_id {image_id} is not an annotated image"
+                f"{where}: image_id {image_id} is not an annotated image"
+                if unknown[1] is None
+                else f"{where}: image {image_id} has no annotated instance_id {instance_id}"
             )
-        expected = categories[image_id, instance_id]
+        expected = annotated[image_id][instance_id]
         if category_id != expected:
             raise ValueError(
                 f"{where}: category_id {category_id} does not match "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Container, Iterable, Mapping
 
 import numpy as np
 
@@ -599,6 +599,30 @@ def _image_counts(
     return counts
 
 
+def _annotated(gts: Dataset) -> dict[int, dict[int, int]]:
+    """image_id -> instance_id -> category_id of every annotated instance."""
+    return {
+        image.image_id: {inst.instance_id: inst.category_id for inst in image.instances}
+        for image in gts.images
+    }
+
+
+def _first_unknown(
+    annotated: Mapping[int, Container[int]], predictions: Mapping[int, Iterable[int]]
+) -> tuple[int, int | None] | None:
+    """The first predicted id not in ``annotated`` (see :func:`_annotated`),
+    every image id before any instance id: ``(image_id, None)`` for an
+    unknown image, ``(image_id, instance_id)`` for an unknown instance."""
+    for image_id in predictions:
+        if image_id not in annotated:
+            return image_id, None
+    for image_id, instance_ids in predictions.items():
+        for instance_id in instance_ids:
+            if instance_id not in annotated[image_id]:
+                return image_id, instance_id
+    return None
+
+
 def evaluate(
     predictions: Mapping[int, Mapping[int, GrayMap]],
     gts: Dataset,
@@ -623,17 +647,15 @@ def evaluate(
     """
     if not gts.images:
         raise ValueError("dataset has no images")
+    unknown = _first_unknown(_annotated(gts), predictions)
+    if unknown is not None:
+        image_id, instance_id = unknown
+        raise ValueError(
+            f"prediction for unknown image {image_id}"
+            if instance_id is None
+            else f"image {image_id}: prediction for unknown instance_id {instance_id}"
+        )
     by_id = {image.image_id: image for image in gts.images}
-    for image_id in predictions:
-        if image_id not in by_id:
-            raise ValueError(f"prediction for unknown image {image_id}")
-    for image_id, inst_maps in predictions.items():
-        known = {inst.instance_id for inst in by_id[image_id].instances}
-        for instance_id in inst_maps:
-            if instance_id not in known:
-                raise ValueError(
-                    f"image {image_id}: prediction for unknown instance_id {instance_id}"
-                )
     # Precision, recall and F of each image at each threshold.
     per_image = np.empty((len(by_id), len(THRESHOLDS), 3))
     for row, image_id in enumerate(sorted(by_id)):

@@ -8,12 +8,14 @@ samples themselves, with their maxval, to the map it returns.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
 
-from .raster import GrayMap, _box_values, _framed
+from .raster import GrayMap, _box_rows, _box_values, _framed
 
 __all__ = ["read_graymap", "write_graymap"]
 
@@ -34,15 +36,29 @@ def write_graymap(graymap: GrayMap, path: str | Path) -> None:
     smaller than the frame is pasted into a zeroed sample frame, so the
     map's float ``values`` are never built. The samples are ready before
     the file is opened, so a frame too large to allocate leaves no file.
-    The header and the sample buffer are written one after the other,
-    uncopied.
+    The file's bytes are the whole frame, but only the rows the box spans
+    are written: an earlier file at ``path`` is first cut back to the
+    header, and the file is then extended to its full length, so the zero
+    rows above and below the box's rows are holes, which read back as
+    zeros. A pipe or a device gets every row. Every write is of the
+    sample buffer itself, uncopied.
     """
     scaled = _box_values(graymap) * GRAY_MAXVAL
     samples = _framed(graymap, np.rint(scaled, out=scaled).astype(">u2"))
     header = f"P5\n{graymap.width} {graymap.height}\n{GRAY_MAXVAL}\n".encode("ascii")
-    with open(path, "wb") as f:
+    start, stop = _box_rows(graymap)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(header)
-        f.write(samples.data)
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.write(samples.data)
+            return
+        # Cut back to the header, not to 0: ext4 (auto_da_alloc) starts
+        # writing back a file truncated to 0 when it is closed, which made
+        # overwriting 321x481 targets take about four times as long.
+        f.truncate(len(header))
+        f.seek(len(header) + start * samples.strides[0])
+        f.write(samples[start:stop].data)
+        f.truncate(len(header) + samples.nbytes)
 
 
 def _read_raw(path: str | Path) -> tuple[np.ndarray, int]:

@@ -213,6 +213,12 @@ def _framed(graymap: GrayMap, box: np.ndarray) -> np.ndarray:
     return _placed(box, graymap.origin, graymap.frame)
 
 
+def _box_rows(graymap: GrayMap) -> tuple[int, int]:
+    """The frame rows ``[start, stop)`` that the map's box spans."""
+    top = graymap.origin[0]
+    return top, top + graymap.levels.shape[0]
+
+
 def _frame_flat(box: np.ndarray, origin: tuple[int, int], width: int) -> np.ndarray:
     """The ascending frame flat indices of the nonzero pixels of ``box`` at ``origin``."""
     y, x = np.divmod(np.flatnonzero(box), box.shape[1])

@@ -189,6 +189,30 @@ class TestMakeTargets:
             name = entry["file"]
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_overwritten_targets_equal_fresh_ones(self, ann_path, tmp_path):
+        # The first targets come from the instances mirrored top to bottom,
+        # so their nonzero rows lie where the second targets' rows are 0;
+        # targets written over them keep none of those rows.
+        mirrored = copy.deepcopy(ANN_DOC)
+        for ann in mirrored["annotations"]:
+            x, y, w, h = ann["bbox"]
+            ann["bbox"] = [x, 15 - y - h, w, h]
+            ann["segmentation"] = [
+                [15 - v if i % 2 else v for i, v in enumerate(ring)]
+                for ring in ann["segmentation"]
+            ]
+        mirrored_path = tmp_path / "mirrored.json"
+        mirrored_path.write_text(json.dumps(mirrored))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["make-targets", str(mirrored_path), "--out", str(reused)]) == 0
+        subsampled = ["--ratio", "0.5", "--seed", "7"]
+        assert main(["make-targets", str(ann_path), "--out", str(reused), *subsampled]) == 0
+        assert main(["make-targets", str(ann_path), "--out", str(fresh), *subsampled]) == 0
+        names = sorted(p.name for p in fresh.iterdir() if p.name != "run.json")
+        assert sorted(p.name for p in reused.iterdir() if p.name != "run.json") == names
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_subsampling_reduces_keypoints(self, ann_path, tmp_path):
         full = tmp_path / "full"
         half = tmp_path / "half"

@@ -1,5 +1,8 @@
 """Tests for binary PGM serialization of gray maps."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -73,6 +76,33 @@ class TestGraymapFormat:
         write_graymap(gm, a)
         write_graymap(gm, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overwrite_leaves_no_stale_rows(self, tmp_path):
+        # The second map's rows are written over a file whose nonzero rows
+        # lie elsewhere; the file it leaves is the second map's alone.
+        low = GrayMap(np.full((2, 4), 0.7), frame=(9, 6), origin=(1, 1))
+        high = GrayMap(np.full((2, 3), 1.0), frame=(9, 6), origin=(6, 2))
+        path = tmp_path / "g.pgm"
+        write_graymap(low, path)
+        write_graymap(high, path)
+        expected = b"P5\n6 9\n65535\n" + np.rint(high.values * 65535).astype(">u2").tobytes()
+        assert path.read_bytes() == expected
+
+    def test_boxed_map_streams_to_a_pipe(self, tmp_path):
+        # A pipe or a device holds no holes, so the whole frame is written.
+        boxed = GrayMap(np.full((2, 3), 0.7), frame=(8, 5), origin=(3, 1))
+        write_graymap(boxed, os.devnull)
+        fifo = tmp_path / "g.fifo"
+        os.mkfifo(fifo)
+        received = []
+        # A daemon, so a reader left waiting by a failed write cannot keep
+        # the test process alive.
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_graymap(boxed, fifo)
+        reader.join(timeout=10)
+        expected = b"P5\n5 8\n65535\n" + np.rint(boxed.values * 65535).astype(">u2").tobytes()
+        assert received == [expected]
 
 
 class TestReaderRobustness:

@@ -181,8 +181,15 @@ class TestBoxedGrayMap:
             ((3, 4), (4, 5)),
             ((1, 1), (3, 4)),
             ((7, 9), (0, 0)),
+            ((2, 9), (0, 0)),
+            ((2, 9), (5, 0)),
+            ((7, 4), (0, 3)),
+            ((0, 4), (3, 2)),
         ],
-        ids=["top-left", "top-right", "bottom-left", "bottom-right", "1x1", "frame"],
+        ids=[
+            "top-left", "top-right", "bottom-left", "bottom-right", "1x1", "frame",
+            "first-rows", "last-rows", "every-row", "no-rows",
+        ],
     )
     def test_boxed_map_reads_as_its_frame_map(self, kind, shape, origin, tmp_path):
         levels, maxval = self.box_levels(kind, shape)
@@ -201,6 +208,9 @@ class TestBoxedGrayMap:
         write_graymap(boxed, tmp_path / "boxed.pgm")
         write_graymap(whole, tmp_path / "whole.pgm")
         assert (tmp_path / "boxed.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
+        header = f"P5\n{self.FRAME[1]} {self.FRAME[0]}\n65535\n".encode("ascii")
+        dense = header + np.rint(whole.values * 65535).astype(">u2").tobytes()
+        assert (tmp_path / "boxed.pgm").read_bytes() == dense
 
     @pytest.mark.parametrize(
         "placement, message",
@@ -367,6 +377,21 @@ class TestBuildTunnelTarget:
         assert build_peak < 2**20
         assert write_peak < 1024 * 2048 * 2 + 2 * target.map.levels.nbytes
         assert path.stat().st_size == len(b"P5\n2048 1024\n65535\n") + 1024 * 2048 * 2
+
+    def test_rows_outside_the_box_are_holes(self, tmp_path):
+        # The same 1024x2048 target: its box spans 43 of the frame's 1024 rows.
+        probe = tmp_path / "probe"
+        with open(probe, "wb") as f:
+            f.seek(2**20)
+            f.write(b"\1" * 4096)
+        if probe.stat().st_blocks * 512 >= 2**20:
+            pytest.skip("the file system stores a 1 MiB hole as data")
+        inst = make_instance(((1000, 500), (1040, 510), (1020, 540)))
+        path = tmp_path / "target.pgm"
+        write_graymap(build_tunnel_target(inst, 1024, 2048).map, path)
+        written = path.stat()
+        assert written.st_size == len(b"P5\n2048 1024\n65535\n") + 1024 * 2048 * 2
+        assert written.st_blocks * 512 < written.st_size // 2
 
 
 def assert_matches_the_full_frame_oracle(inst, height, width, tmp_path):
