@@ -39,7 +39,7 @@ inst = InstanceAnnotation(
 )
 
 edges = rasterize_polyline(inst, 16, 16)
-print(f"boundary raster: {edges.count()} edge pixels")
+print(f"boundary raster: {len(edges.flat)} edge pixels")
 show([[0.7 * b for b in row] for row in edges.bits])
 
 target = build_tunnel_target(inst, 16, 16)

@@ -46,7 +46,7 @@ def show(bits):
 thick = np.zeros((7, 14), dtype=bool)
 thick[2:5, 2:12] = True
 thinned = thin(BitMap(thick))
-print(f"thinning a thick bar: {int(thick.sum())} pixels down to {thinned.count()}")
+print(f"thinning a thick bar: {int(thick.sum())} pixels down to {len(thinned.flat)}")
 show(thinned.bits)
 
 # Matching is strict: with the default lambda, the maximum node distance on
@@ -56,7 +56,7 @@ offset = BitMap(np.roll(gt.bits, 1, axis=0))
 cfg = EvalConfig()
 print()
 print(f"max matching distance at 16 x 16: {cfg.max_distance(16, 16):.3f} pixels")
-print(f"exact copy matches {match_instance(gt, gt).matched} of {gt.count()} nodes")
+print(f"exact copy matches {match_instance(gt, gt).matched} of {len(gt.flat)} nodes")
 print(f"one-row offset matches {match_instance(offset, gt).matched}")
 
 # Two images, one instance each. Image 1's prediction is confident at 0.31

@@ -18,7 +18,7 @@ import numpy as np
 
 from .annotations import Dataset, ImageRecord
 from .raster import (
-    BitMap, GrayMap, _bitmap, _firing_counts, _frozen, binarize, rasterize_polyline,
+    BitMap, GrayMap, _firing_counts, _frozen, _set_box, binarize, rasterize_polyline,
 )
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "PRPoint",
     "EvalSummary",
     "thin",
-    "edge_nodes",
     "match_instance",
     "image_pr",
     "fscore",
@@ -61,11 +60,11 @@ class EvalConfig:
 class MatchResult:
     """One instance's pixel-matching outcome, as the matcher returns it.
 
-    ``mates`` gives each gt node's matched pred node, or -1, with nodes in
-    the row-major order of :func:`edge_nodes`; the counts and pairs are
-    derived from it when read. From :func:`match_instance` it is *a* maximum
-    matching: which pairs are chosen among ties is unspecified, and only the
-    counts enter a score.
+    ``mates`` gives each gt node's matched pred node, or -1; node i of a map
+    is its pixel ``flat[i]`` (see :attr:`~pointedge.BitMap.flat`), and the
+    counts are derived from ``mates`` when read. From :func:`match_instance`
+    it is *a* maximum matching: which pairs are chosen among ties is
+    unspecified, and only the counts enter a score.
     """
 
     mates: tuple[int, ...]
@@ -88,11 +87,6 @@ class MatchResult:
     @property
     def matched(self) -> int:
         return self.gt_total - self.mates.count(-1)
-
-    @property
-    def matched_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The (gt node, pred node) pairs, sorted by gt node."""
-        return tuple((g, p) for g, p in enumerate(self.mates) if p != -1)
 
 
 @dataclass(frozen=True)
@@ -301,21 +295,20 @@ def thin(edges: BitMap) -> BitMap:
     (min(h, w) - 1) // 2 passes, which peel one ring each, and thins only
     the 1- or 2-pixel-thick core they leave: the output is the same.
 
-    ``raster`` places the thinned box in the frame and hands the returned
-    map its :attr:`~pointedge.BitMap.flat` from the box, so no thinned map,
-    prediction or ground truth, is scanned over the whole frame for them.
+    The bounding box is found in the map's box (see ``raster._set_box``),
+    and the thinned box is returned at its origin in the same frame, so no
+    thinned map is put in a frame or scanned over it for its ``flat``.
     """
-    rows = np.flatnonzero(edges.bits.any(axis=1))
-    if not rows.size:
-        return _bitmap(np.zeros((0, 0), dtype=bool), (0, 0), (edges.height, edges.width))
-    cols = np.flatnonzero(edges.bits.any(axis=0))
-    top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-    if edges.bits[top:bottom, left:right].all():
-        k = (min(bottom - top, right - left) - 1) // 2
-        top, bottom, left, right = top + k, bottom - k, left + k, right - k
+    bits, (top, left) = _set_box(edges)
+    frame = (edges.height, edges.width)
+    if not bits.size:
+        return BitMap(bits, frame=frame)
+    if bits.all():
+        k = (min(bits.shape) - 1) // 2
+        bits, top, left = bits[k:bits.shape[0] - k, k:bits.shape[1] - k], top + k, left + k
     # A zero border: every neighbour of a set pixel is in the grid.
-    a = np.zeros((bottom - top + 2, right - left + 2), dtype=bool)
-    a[1:-1, 1:-1] = edges.bits[top:bottom, left:right]
+    a = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=bool)
+    a[1:-1, 1:-1] = bits
     codes = _codes(a)
     offsets = _neighbour_offsets(a.shape[1])
     marks = (a.ravel().copy(), a.ravel().copy())
@@ -323,17 +316,12 @@ def thin(edges: BitMap) -> BitMap:
         _passes(a.ravel(), codes.ravel(), marks, offsets)
         # The passes just reached a fixed point, so an unbroken map is final.
         if not _break_blocks(a, codes, marks, offsets):
-            return _bitmap(a[1:-1, 1:-1], (top, left), (edges.height, edges.width))
+            return BitMap(a[1:-1, 1:-1], frame=frame, origin=(top, left))
 
 
 # ---------------------------------------------------------------------------
 # Matching and accumulation
 # ---------------------------------------------------------------------------
-
-def edge_nodes(edges: BitMap) -> np.ndarray:
-    """Set-pixel coordinates as an (n, 2) array of (row, col), row-major order."""
-    return np.stack(np.divmod(edges.flat, edges.width), axis=1)
-
 
 def _windows(
     gt_flat: np.ndarray, shape: tuple[int, int], d: float
@@ -487,7 +475,7 @@ def match_instance(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> 
     chosen among ties is unspecified, and distances are never weighed.
 
     Both maps are read through their :attr:`~pointedge.BitMap.flat`
-    indices, which :func:`thin` hands over with the map it returns. The
+    indices, which a map takes from its box, so neither frame is built. The
     ground truth's candidate windows, one per gt node and image row within
     reach, are derived from its flat indices on its first match at a
     distance and kept while the map lives (see :func:`_gt_windows`), so a
@@ -541,13 +529,13 @@ def _slot_counts(graymap: GrayMap | None, gt: BitMap, cfg: EvalConfig) -> np.nda
     walks the ascending thresholds and binarizes, thins and matches only
     where the count changes. Where nothing fires, as everywhere for a
     missing map, the row is (0, 0, GT nodes) and nothing is called. Every
-    other distinct map is thinned by :func:`thin`, the whole frame included
-    (see there for how it thins a solid rectangle), and matched against the
-    one thinned ``gt`` map. Its flat indices came with it from
-    :func:`thin`, and its candidate windows are derived at its first match
-    and reused by every later one (see :func:`_gt_windows`); the thinned
-    prediction is kept only for its match. A row needs only how many nodes
-    match, which is the size of the maximum matching
+    other distinct map is binarized and thinned in the gray map's box (see
+    :func:`thin` for how it thins a solid rectangle) and matched against
+    the one thinned ``gt`` map. Both hold boxes, never frames, and take
+    their flat indices from them; the gt's candidate windows are derived at
+    its first match and reused by every later one (see :func:`_gt_windows`);
+    the thinned prediction is kept only for its match. A row needs only how
+    many nodes match, the size of the maximum matching
     :func:`match_instance` returns, whichever pairs it chose.
     """
     counts = np.tile([0, 0, len(gt.flat)], (len(THRESHOLDS), 1))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import GrayMap, _box_rows, _box_values, _framed
+from .raster import GrayMap, _box_rows, _box_values, _placed
 
 __all__ = ["read_graymap", "write_graymap"]
 
@@ -44,7 +44,7 @@ def write_graymap(graymap: GrayMap, path: str | Path) -> None:
     sample buffer itself, uncopied.
     """
     scaled = _box_values(graymap) * GRAY_MAXVAL
-    samples = _framed(graymap, np.rint(scaled, out=scaled).astype(">u2"))
+    samples = _placed(graymap, np.rint(scaled, out=scaled).astype(">u2"))
     header = f"P5\n{graymap.width} {graymap.height}\n{GRAY_MAXVAL}\n".encode("ascii")
     start, stop = _box_rows(graymap)
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:

@@ -55,59 +55,93 @@ def _kept(arr: object, dtype: type | np.dtype) -> np.ndarray:
     return _frozen(np.array(arr, dtype=dtype, order="C"))
 
 
+def _pair(pair: object, kind: str, name: str) -> tuple[int, int]:
+    """``pair`` as two ints, or a ``ValueError`` that names the type and field."""
+    try:
+        first, second = map(operator.index, pair)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} {name} must be two integers, got {pair!r}") from None
+    return first, second
+
+
 @dataclass(frozen=True, eq=False)
-class BitMap:
-    """A 2-D binary grid. ``bits`` is a read-only boolean array.
+class _Placed:
+    """The one box rule of every map: its array is a box of its frame,
+    placed by the keyword-only ``frame`` and ``origin``, and 0 outside it."""
+
+    _: KW_ONLY
+    frame: tuple[int, int] | None = None
+    origin: tuple[int, int] = (0, 0)
+
+    def _place(self, shape: tuple[int, int]) -> None:
+        """Check and keep the placement of a box of ``shape``; a bad field
+        raises a ``ValueError`` that names the map's type and the field."""
+        kind = type(self).__name__
+        height, width = shape if self.frame is None else _pair(self.frame, kind, "frame")
+        top, left = _pair(self.origin, kind, "origin")
+        if top < 0 or left < 0:
+            raise ValueError(f"{kind} origin must not be negative, got {(top, left)}")
+        if top + shape[0] > height or left + shape[1] > width:
+            raise ValueError(
+                f"{kind} box of {shape[0]}x{shape[1]} at {(top, left)} "
+                f"leaves its {height}x{width} frame"
+            )
+        object.__setattr__(self, "frame", (height, width))
+        object.__setattr__(self, "origin", (top, left))
+
+    @property
+    def height(self) -> int:
+        return self.frame[0]
+
+    @property
+    def width(self) -> int:
+        return self.frame[1]
+
+
+@dataclass(frozen=True, eq=False)
+class BitMap(_Placed):
+    """A 2-D binary grid, over its whole frame or over a box of it.
 
     Like every map, a ``BitMap`` keeps a read-only array it owns, copies
-    anything else, and computes each derived array once, on first read. So
-    a function that built a bool array hands it over without a copy, and no
+    anything else, and computes each derived array once, on first read. So a
+    function that built a bool array hands it over without a copy, and no
     caller's later writes reach the map; 0/1 integers and lists are
-    converted. ``flat`` holds the set pixels' flat indices in ascending
-    order, read-only; a map placed from a box (a thinned map, a polyline
-    raster) is handed them from the box.
+    converted. ``box`` holds the bits of a box of the frame, placed by the
+    keyword-only ``frame=(height, width)`` and ``origin=(top, left)`` (by
+    default the box's shape and ``(0, 0)``, so ``BitMap(bits)`` holds a
+    frame map); every pixel outside it is unset, and ``height`` and
+    ``width`` are the frame's. ``bits``, the read-only array of the whole
+    frame, is built on first read; ``flat``, the set pixels' ascending frame
+    flat indices, read-only, is taken from the box. ``binarize``,
+    ``rasterize_polyline`` and ``thin`` return boxes, and the sweep reads
+    only ``flat``, so none of their maps is put in a frame.
     """
 
-    bits: np.ndarray
+    box: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.bits)
+        arr = np.asarray(self.box)
         if arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
             raise ValueError("BitMap values must be 0 or 1")
         arr = _kept(arr, np.bool_)
         if arr.ndim != 2:
             raise ValueError(f"BitMap needs a 2-D grid, got shape {arr.shape}")
-        object.__setattr__(self, "bits", arr)
+        self._place(arr.shape)
+        object.__setattr__(self, "box", arr)
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """The read-only bits of the whole frame, built on first use."""
+        return _frozen(_placed(self, self.box))
 
     @cached_property
     def flat(self) -> np.ndarray:
-        """The set pixels' sorted flat indices, read-only, taken on first use."""
-        return _frozen(np.flatnonzero(self.bits))
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    def count(self) -> int:
-        """Number of set pixels."""
-        return int(self.bits.sum())
-
-
-def _placement(pair: object, name: str) -> tuple[int, int]:
-    """``pair`` as two ints, or a ``ValueError`` that names the field."""
-    try:
-        first, second = map(operator.index, pair)
-    except (TypeError, ValueError):
-        raise ValueError(f"GrayMap {name} must be two integers, got {pair!r}") from None
-    return first, second
+        """The set pixels' sorted frame flat indices, read-only, taken on first use."""
+        return _frozen(_frame_flat(self.box, self.origin, self.width))
 
 
 @dataclass(frozen=True, eq=False)
-class GrayMap:
+class GrayMap(_Placed):
     """A 2-D grid of values in [0, 1], held as floats or as integer samples,
     over its whole frame or over a box of it.
 
@@ -124,20 +158,15 @@ class GrayMap:
     as ``np.divide(samples, maxval, dtype=np.float64)``.
 
     Either way the grid must be 2-D, and ``levels`` is the array a threshold
-    is compared against (the values, or the samples). The keyword-only
-    ``frame=(height, width)`` and ``origin=(top, left)`` place the levels as
-    a box inside a larger frame that is 0 outside it; by default the box is
-    the frame. Checks and thresholds look only at the box. ``height`` and
-    ``width`` are the frame's, and ``values`` is the read-only float64 array
-    of the whole frame, built on first read (the levels themselves for a
-    float map whose box is its frame).
+    is compared against (the values, or the samples). It is a box of the
+    frame, placed as a ``BitMap``'s box is, and checks and thresholds look
+    only at the box. ``values`` is the read-only float64 array of the whole
+    frame, built on first read (the levels themselves for a float map whose
+    box is its frame).
     """
 
     levels: np.ndarray
     maxval: int | None = None
-    _: KW_ONLY
-    frame: tuple[int, int] | None = None
-    origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         arr, maxval = self.levels, self.maxval
@@ -153,16 +182,7 @@ class GrayMap:
             arr = _kept(arr, arr.dtype.newbyteorder("="))
         if arr.ndim != 2:
             raise ValueError(f"GrayMap needs a 2-D grid, got shape {arr.shape}")
-        frame = arr.shape if self.frame is None else _placement(self.frame, "frame")
-        top, left = _placement(self.origin, "origin")
-        if top < 0 or left < 0:
-            raise ValueError(f"GrayMap origin must not be negative, got {(top, left)}")
-        (rows, cols), (height, width) = arr.shape, frame
-        if top + rows > height or left + cols > width:
-            raise ValueError(
-                f"GrayMap box of {rows}x{cols} at {(top, left)} "
-                f"leaves its {height}x{width} frame"
-            )
+        self._place(arr.shape)
         if maxval is None:
             # A NaN fails both tests and an infinity the range test, so
             # finiteness is only looked at to choose the message.
@@ -173,21 +193,11 @@ class GrayMap:
         elif maxval < np.iinfo(arr.dtype).max and arr.max(initial=0) > maxval:
             raise ValueError(f"sample exceeds declared maxval {maxval}")
         object.__setattr__(self, "levels", arr)
-        object.__setattr__(self, "frame", (height, width))
-        object.__setattr__(self, "origin", (top, left))
 
     @cached_property
     def values(self) -> np.ndarray:
         """The read-only float64 values of the whole frame, computed on first use."""
-        return _frozen(_framed(self, _box_values(self)))
-
-    @property
-    def height(self) -> int:
-        return self.frame[0]
-
-    @property
-    def width(self) -> int:
-        return self.frame[1]
+        return _frozen(_placed(self, _box_values(self)))
 
 
 def _box_values(graymap: GrayMap) -> np.ndarray:
@@ -198,19 +208,15 @@ def _box_values(graymap: GrayMap) -> np.ndarray:
     return np.divide(graymap.levels, graymap.maxval, dtype=np.float64)
 
 
-def _placed(box: np.ndarray, origin: tuple[int, int], frame: tuple[int, int]) -> np.ndarray:
-    """``box`` at ``origin`` in a zero ``frame`` of its dtype, or itself if it fills it."""
-    if box.shape == frame:
+def _placed(m: _Placed, box: np.ndarray) -> np.ndarray:
+    """``box``, an array of the map's box shape, at its origin in a zero
+    frame of its dtype, or ``box`` itself if it fills the frame."""
+    if box.shape == m.frame:
         return box
-    out = np.zeros(frame, dtype=box.dtype)
-    top, left = origin
+    out = np.zeros(m.frame, dtype=box.dtype)
+    top, left = m.origin
     out[top:top + box.shape[0], left:left + box.shape[1]] = box
     return out
-
-
-def _framed(graymap: GrayMap, box: np.ndarray) -> np.ndarray:
-    """``box``, an array of the map's box shape, placed in its frame."""
-    return _placed(box, graymap.origin, graymap.frame)
 
 
 def _box_rows(graymap: GrayMap) -> tuple[int, int]:
@@ -225,11 +231,15 @@ def _frame_flat(box: np.ndarray, origin: tuple[int, int], width: int) -> np.ndar
     return (y + origin[0]) * width + (x + origin[1])
 
 
-def _bitmap(box: np.ndarray, origin: tuple[int, int], frame: tuple[int, int]) -> BitMap:
-    """A ``frame`` map of the bool ``box`` at ``origin``, its ``flat`` taken from the box."""
-    edges = BitMap(_frozen(_placed(box, origin, frame)))
-    vars(edges)["flat"] = _frozen(_frame_flat(box, origin, frame[1]))
-    return edges
+def _set_box(edges: BitMap) -> tuple[np.ndarray, tuple[int, int]]:
+    """The bounding box of the map's set pixels, found in its box: its bits
+    (a view) and its frame origin; 0x0 at (0, 0) if no pixel is set."""
+    rows = np.flatnonzero(edges.box.any(axis=1))
+    if not rows.size:
+        return edges.box[:0, :0], (0, 0)
+    cols = np.flatnonzero(edges.box.any(axis=0))
+    bits = edges.box[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    return bits, (edges.origin[0] + int(rows[0]), edges.origin[1] + int(cols[0]))
 
 
 def _nonzero(graymap: GrayMap) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +287,10 @@ def binarize(graymap: GrayMap, threshold: float) -> BitMap:
     never turned into floats, and the result is exactly that of comparing
     them: above 0, ``values >= threshold`` implies ``values > 0``, and at or
     below 0 only ``values > 0`` decides. So only a map's box is compared,
-    and the result is pasted into a zero frame.
+    and the result is that box of bits, placed in the map's frame.
     """
-    return BitMap(_frozen(_framed(graymap, graymap.levels >= _cut(graymap, threshold))))
+    box = _frozen(graymap.levels >= _cut(graymap, threshold))
+    return BitMap(box, frame=graymap.frame, origin=graymap.origin)
 
 
 def _firing_counts(graymap: GrayMap, thresholds: tuple[float, ...]) -> list[int]:
@@ -400,12 +411,12 @@ def rasterize_polyline(inst: InstanceAnnotation, height: int, width: int) -> Bit
 
     Consecutive keypoints of each ring (including the closing segment) are
     connected with 8-connected discrete lines between their rounded pixels.
-    The lines are drawn into the rings' pixel box, which :func:`_bitmap`
-    places in the frame.
+    The lines are drawn into the rings' pixel box, and the map holds that
+    box, placed in the ``height`` x ``width`` frame.
     """
     _check_dims(height, width)
     box, top, left = _draw_rings(_ring_pixels(inst, height, width), height, width, 0)
-    return _bitmap(box, (top, left), (height, width))
+    return BitMap(_frozen(box), frame=(height, width), origin=(top, left))
 
 
 def _dilate3x3(bits: np.ndarray) -> np.ndarray:

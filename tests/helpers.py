@@ -24,6 +24,7 @@ from pointedge import (
     ImageRecord,
     InstanceAnnotation,
     Keypoint,
+    MatchResult,
 )
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
@@ -132,6 +133,19 @@ def bitmap_from_pixels(height: int, width: int, pixels) -> BitMap:
     for row, col in pixels:
         bits[row, col] = True
     return BitMap(bits)
+
+
+def matched_nodes(
+    pred: BitMap, gt: BitMap, result: MatchResult
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """A match read through its maps: the gt and pred nodes as (n, 2)
+    arrays of (row, col), in the row-major order of each map's ``flat``,
+    and the matched (gt node, pred node) pairs from ``result.mates``,
+    sorted by gt node."""
+    gxy = np.stack(np.divmod(gt.flat, gt.width), axis=1)
+    pxy = np.stack(np.divmod(pred.flat, pred.width), axis=1)
+    pairs = [(g, p) for g, p in enumerate(result.mates) if p != -1]
+    return gxy, pxy, pairs
 
 
 def to_graymap(bitmap: BitMap) -> GrayMap:

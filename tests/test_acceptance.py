@@ -26,7 +26,6 @@ from pointedge import (
     default_schedule,
     dense_head,
     dice_loss,
-    edge_nodes,
     evaluate,
     finite_diff_check,
     gradient_ratio,
@@ -46,6 +45,7 @@ from helpers import (
     component_count,
     dense_head_oracle,
     flat_ring_instance,
+    matched_nodes,
     random_blob,
     random_dataset,
     random_star_instance,
@@ -146,14 +146,14 @@ def test_criterion_3_matching_equals_exhaustive_search():
             h, w, [(int(c) // w, int(c) % w) for c in pred_cells]
         )
         result = match_instance(pred, gt, cfg)
-        gxy, pxy = edge_nodes(gt), edge_nodes(pred)
+        gxy, pxy, pairs = matched_nodes(pred, gt, result)
         want_count, _ = brute_force_match(gxy, pxy, d)
         assert result.matched == want_count
-        gt_side = [g for g, _ in result.matched_pairs]
-        pred_side = [p for _, p in result.matched_pairs]
+        gt_side = [g for g, _ in pairs]
+        pred_side = [p for _, p in pairs]
         assert len(set(gt_side)) == len(gt_side)
         assert len(set(pred_side)) == len(pred_side)
-        assert all(math.dist(gxy[g], pxy[p]) < d for g, p in result.matched_pairs)
+        assert all(math.dist(gxy[g], pxy[p]) < d for g, p in pairs)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     print(

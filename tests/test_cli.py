@@ -445,7 +445,33 @@ class TestEval:
 
     def test_unallocatable_image_without_predictions_exits_1(self, ann_path, tmp_path, capsys):
         # The instance has no prediction, so its ground-truth raster is the
-        # first thing to allocate.
+        # first thing to allocate. The raster holds only its ring's box, so
+        # the ring spans the frame to make that box unallocatable.
+        preds = write_exact_predictions(tmp_path / "preds", ann_path)
+        doc = json.loads(json.dumps(ANN_DOC))
+        doc["images"].append({"id": 3, "height": 10**9, "width": 10**9})
+        far = 10**9 - 1
+        doc["annotations"].append(
+            {
+                "id": 4,
+                "image_id": 3,
+                "category_id": 0,
+                "bbox": [0.0, 0.0, float(far), float(far)],
+                "segmentation": [[0, 0, far, 0, far, far]],
+            }
+        )
+        ann_path.write_text(json.dumps(doc))
+        code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: image 3 (1000000000x1000000000): ")
+        assert "allocate" in err
+        assert "Traceback" not in err
+
+    def test_huge_image_with_a_small_ring_needs_no_frame(self, ann_path, tmp_path, capsys):
+        # The ground truth of a small ring is rasterized and thinned in its
+        # box, so a 10^9 x 10^9 image is scored: it predicts nothing, so its
+        # F is 0 and the mean over three images is 2/3.
         preds = write_exact_predictions(tmp_path / "preds", ann_path)
         doc = json.loads(json.dumps(ANN_DOC))
         doc["images"].append({"id": 3, "height": 10**9, "width": 10**9})
@@ -459,12 +485,8 @@ class TestEval:
             }
         )
         ann_path.write_text(json.dumps(doc))
-        code = main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: image 3 (1000000000x1000000000): ")
-        assert "allocate" in err
-        assert "Traceback" not in err
+        assert main(["eval", str(ann_path), str(preds), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out == "ODS 0.6667\nOIS 0.6667\n"
 
     def test_huge_image_without_instances_needs_no_allocation(self, ann_path, tmp_path, capsys):
         # No map on either side: precision 1 and recall 1 by the empty-side

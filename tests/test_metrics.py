@@ -21,7 +21,6 @@ from pointedge import (
     MatchResult,
     binarize,
     build_tunnel_target,
-    edge_nodes,
     evaluate,
     fscore,
     image_pr,
@@ -43,6 +42,8 @@ from helpers import (
     dense_match,
     eval_oracle,
     flat_ring_instance,
+    make_instance,
+    matched_nodes,
     random_blob,
     random_dataset,
     reference_thin,
@@ -116,7 +117,7 @@ def assert_thin_matches_reference(bits: np.ndarray) -> None:
 class TestThin:
     def test_empty_map(self):
         out = thin(BitMap(np.zeros((6, 6), dtype=bool)))
-        assert out.count() == 0
+        assert len(out.flat) == 0
         assert_flat_is_its_set_pixels(out)
 
     def test_diagonal_line_unchanged(self):
@@ -164,6 +165,43 @@ class TestThin:
             out = thin(BitMap(bits)).bits
             digest = hashlib.sha256(np.packbits(out).tobytes() + repr(out.shape).encode())
             assert digest.hexdigest() == PINNED_THIN_DIGESTS[name], name
+
+    def test_boxed_maps_match_pinned_digests(self):
+        # Each pinned input as a box at a seeded origin in a larger frame:
+        # thinned, it gives the pinned map at that origin, and nothing else.
+        rng = np.random.default_rng(5)
+        for name, bits in pinned_thin_inputs().items():
+            (rows, cols), (top, left) = bits.shape, rng.integers(0, 20, size=2)
+            frame = (rows + top + int(rng.integers(0, 20)), cols + left + int(rng.integers(0, 20)))
+            thinned = thin(BitMap(bits, frame=frame, origin=(top, left)))
+            assert "bits" not in vars(thinned)
+            assert (thinned.height, thinned.width) == frame
+            assert_flat_is_its_set_pixels(thinned)
+            out = thinned.bits[top:top + rows, left:left + cols]
+            assert out.sum() == len(thinned.flat)
+            digest = hashlib.sha256(np.packbits(out).tobytes() + repr(out.shape).encode())
+            assert digest.hexdigest() == PINNED_THIN_DIGESTS[name], name
+
+    def test_memory_is_bounded_by_the_box(self):
+        # One small ring in a 1024x2048 frame, whose bool frame takes 2 MiB:
+        # its raster, its binarized boxed target and both thinned maps are
+        # boxes, and no frame is built.
+        inst = make_instance(((1000, 500), (1040, 510), (1020, 540)))
+        boxed = build_tunnel_target(inst, 1024, 2048).map
+        runs = {
+            "polyline": lambda: thin(rasterize_polyline(inst, 1024, 2048)),
+            "binarized": lambda: thin(binarize(boxed, 0.5)),
+        }
+        for name, run in runs.items():
+            run()  # first-call set-up is not counted
+            tracemalloc.start()
+            try:
+                edges = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**21 // 16, (name, peak)
+            assert (edges.height, edges.width) == (1024, 2048) and len(edges.flat)
 
     @settings(max_examples=200, deadline=None)
     @given(bool_maps())
@@ -268,13 +306,15 @@ def match_both(pred: BitMap, gt: BitMap, cfg: EvalConfig = EvalConfig()) -> Matc
     """
     result = match_instance(pred, gt, cfg)
     assert match_instance(pred, gt, cfg) == result
-    gt_side = [g for g, _ in result.matched_pairs]
-    pred_side = [p for _, p in result.matched_pairs]
+    gxy, pxy, pairs = matched_nodes(pred, gt, result)
+    gt_side = [g for g, _ in pairs]
+    pred_side = [p for _, p in pairs]
     assert gt_side == sorted(set(gt_side))
     assert len(set(pred_side)) == len(pred_side)
-    gxy, pxy = np.argwhere(gt.bits), np.argwhere(pred.bits)
-    d = cfg.max_distance(*gt.bits.shape)
-    assert all(math.dist(gxy[g], pxy[p]) < d for g, p in result.matched_pairs)
+    assert np.array_equal(gxy, np.argwhere(gt.bits))
+    assert np.array_equal(pxy, np.argwhere(pred.bits))
+    d = cfg.max_distance(gt.height, gt.width)
+    assert all(math.dist(gxy[g], pxy[p]) < d for g, p in pairs)
     return result
 
 
@@ -301,7 +341,7 @@ class TestMatchInstance:
         bm = BitMap(bits)
         result = match_both(bm, bm)
         assert result.matched == result.pred_total == result.gt_total == 7
-        for g, p in result.matched_pairs:
+        for g, p in matched_nodes(bm, bm, result)[2]:
             assert g == p
 
     def test_translation_beyond_d_matches_nothing(self):
@@ -338,7 +378,7 @@ class TestMatchInstance:
         pred = bitmap_from_pixels(10, 10, [(5, 5), (5, 9)])  # p, q
         result = match_both(pred, gt, cfg)
         assert result.matched == 2
-        assert set(result.matched_pairs) == {(0, 0), (1, 1)}
+        assert set(matched_nodes(pred, gt, result)[2]) == {(0, 0), (1, 1)}
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(21)
@@ -408,7 +448,7 @@ class TestMatchInstance:
         gt = bitmap_from_pixels(30, 40, [(2, 2), (2, 20), (20, 2), (20, 30)])
         pred = bitmap_from_pixels(30, 40, [(5, 6), (2, 24), (25, 2), (24, 32)])
         assert_optimal_match(pred, gt, cfg, dense_match)
-        assert match_both(pred, gt, cfg).matched_pairs == ((1, 0), (3, 2))
+        assert matched_nodes(pred, gt, match_both(pred, gt, cfg))[2] == [(1, 0), (3, 2)]
 
     def test_candidates_are_the_pairs_strictly_within_d(self):
         # The row-range search against an exhaustive distance test, on maps
@@ -457,14 +497,14 @@ class TestMatchInstance:
         # Along one border column, nodes do match.
         pred = bitmap_from_pixels(30, 40, [(5, 0), (6, 39), (9, 39), (12, 1)])
         assert_optimal_match(pred, gt, cfg, brute_force_match)
-        assert match_both(pred, gt, cfg).matched_pairs == ((0, 1), (1, 3))
+        assert matched_nodes(pred, gt, match_both(pred, gt, cfg))[2] == [(0, 1), (1, 3)]
 
     def test_below_one_pixel_only_coincident_nodes_match(self):
         cfg = EvalConfig(max_dist_fraction=0.015)  # d = 0.75 on 30x40
         gt = bitmap_from_pixels(30, 40, [(0, 0), (0, 39), (5, 5), (12, 12), (29, 20)])
         pred = bitmap_from_pixels(30, 40, [(0, 0), (1, 39), (5, 6), (13, 13), (29, 20)])
         assert_optimal_match(pred, gt, cfg, brute_force_match)
-        assert match_both(pred, gt, cfg).matched_pairs == ((0, 0), (4, 4))
+        assert matched_nodes(pred, gt, match_both(pred, gt, cfg))[2] == [(0, 0), (4, 4)]
 
     def test_reach_past_the_frame_makes_every_pair_a_candidate(self):
         cfg = EvalConfig(max_dist_fraction=0.99)  # d = 49.5 on 30x40
@@ -570,11 +610,13 @@ class TestMatchInstance:
             match_instance(pred, gt)
 
     def test_index_holds_the_edge_nodes(self):
-        # The nodes are the map's flat indices as (row, col), row-major.
+        # The nodes are the map's flat indices, row-major, as (row, col).
         gt = bitmap_from_pixels(6, 7, [(4, 1), (0, 5), (4, 0)])
-        assert edge_nodes(gt).tolist() == [[0, 5], [4, 0], [4, 1]]
         assert gt.flat.tolist() == [5, 28, 29]
-        assert edge_nodes(BitMap(np.zeros((6, 7), dtype=bool))).shape == (0, 2)
+        empty = BitMap(np.zeros((6, 7), dtype=bool))
+        gxy, pxy, pairs = matched_nodes(empty, gt, match_instance(empty, gt))
+        assert gxy.tolist() == [[0, 5], [4, 0], [4, 1]]
+        assert pxy.shape == (0, 2) and pairs == []
 
     def test_match_result_validation(self):
         with pytest.raises(ValueError, match="mated twice"):
@@ -587,7 +629,6 @@ class TestMatchInstance:
             MatchResult((-1,), pred_total=-5)
         result = MatchResult((1, -1, 0), pred_total=2)
         assert (result.matched, result.gt_total) == (2, 3)
-        assert result.matched_pairs == ((0, 1), (2, 0))
 
 
 def csr_graph(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -974,18 +1015,24 @@ class TestEvaluate:
             assert summary.ois >= summary.ods - 1e-12
 
     def test_sweep_reads_counts_only(self, monkeypatch):
-        # The sweep scores by the counts: no pair tuple is built.
+        # The sweep scores by the counts, not by which pairs were chosen: a
+        # match whose mates are replaced by other mates with the same counts
+        # gives the same summary.
         cases = [two_image_fixture(), random_dataset(np.random.default_rng(11), n_images=4)]
         expected = [evaluate(predictions, dataset) for dataset, predictions in cases]
+        real_match, scrambled = pointedge.metrics.match_instance, []
 
-        def no_pairs(result):
-            raise AssertionError("matched_pairs read during evaluate")
+        def other_mates(pred, gt, cfg):
+            result = real_match(pred, gt, cfg)
+            n = result.matched
+            mates = tuple(range(n)) + (-1,) * (result.gt_total - n)
+            scrambled.append(mates != result.mates)
+            return MatchResult(mates, pred_total=result.pred_total)
 
-        monkeypatch.setattr(MatchResult, "matched_pairs", property(no_pairs))
-        with pytest.raises(AssertionError, match="matched_pairs read"):
-            MatchResult((0,), pred_total=1).matched_pairs
+        monkeypatch.setattr(pointedge.metrics, "match_instance", other_mates)
         for (dataset, predictions), summary in zip(cases, expected):
             assert evaluate(predictions, dataset) == summary
+        assert any(scrambled)
 
     def test_instance_order_permutation_invariance(self):
         first = flat_ring_instance(2, 7, 3, instance_id=1)
@@ -1064,9 +1111,9 @@ class TestEvaluate:
         monkeypatch.undo()
         images = sorted(dataset.images, key=lambda image: image.image_id)
         gt_nodes = {
-            (image.image_id, inst.instance_id): edge_nodes(
-                thin(rasterize_polyline(inst, image.height, image.width))
-            )
+            (image.image_id, inst.instance_id): thin(
+                rasterize_polyline(inst, image.height, image.width)
+            ).flat
             for image in images
             for inst in image.instances
         }
@@ -1078,7 +1125,7 @@ class TestEvaluate:
             if isinstance(event[0], int):
                 slot = event
             else:
-                assert np.array_equal(edge_nodes(event[1]), gt_nodes[slot])
+                assert np.array_equal(event[1].flat, gt_nodes[slot])
 
     def test_unknown_instance_rejected_before_any_lookup(self):
         dataset, predictions = random_dataset(np.random.default_rng(5), n_images=4)
@@ -1155,9 +1202,9 @@ class TestEvaluate:
         assert [graymap is scored for graymap, _ in calls["binarize"]] == [True, True]
         assert len(calls["thin"]) == len(distinct) + len(image.instances)
         assert len(calls["match_instance"]) == len(distinct)
-        gt = edge_nodes(thin(rasterize_polyline(first, 16, 16)))
+        gt = thin(rasterize_polyline(first, 16, 16)).flat
         for _, gt_map, _ in calls["match_instance"]:
-            assert np.array_equal(edge_nodes(gt_map), gt)
+            assert np.array_equal(gt_map.flat, gt)
         ods, ois, curve = eval_oracle(
             predictions, dataset, THRESHOLDS, cfg.max_dist_fraction
         )
@@ -1216,8 +1263,8 @@ class TestEvaluate:
             )
 
     def test_each_ground_truth_indexed_once(self, monkeypatch):
-        # Every slot gets its own ground-truth map, and its flat indices come
-        # with it from thin: no np.flatnonzero runs over a gt frame. Every
+        # Every slot gets its own ground-truth map, and its flat indices are
+        # taken from its box: no np.flatnonzero runs over a gt frame. Every
         # match of the slot gets that map; its windows are derived from
         # those same flat indices once, and every match searches that same
         # pair of window arrays.
@@ -1266,7 +1313,8 @@ class TestEvaluate:
         assert len({id(gt) for gt in slot_gts}) == slots
         assert len(matched_gts) > slots
         assert all(gt is slot_gts[slot - 1] for slot, gt in matched_gts)
-        assert indexed and not any(a is gt.bits for gt in slot_gts for a in indexed)
+        # No gt frame was built, so none was scanned; its flat came from its box.
+        assert indexed and not any("bits" in vars(gt) for gt in slot_gts)
         # Read after the run: a flat not handed over would be taken now.
         assert [slot for slot, _, _ in derived] == sorted({slot for slot, _ in matched_gts})
         assert all(gt_flat is slot_gts[slot - 1].flat for slot, gt_flat, _ in derived)

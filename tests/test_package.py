@@ -1,7 +1,8 @@
 """The package's public names are exactly those its modules export, its
-version is declared once, only the raster module freezes or plants the
-arrays a map holds or reads a gray map's levels or box, importing the command
-line loads no scipy module, and make-targets loads no numpy.ma."""
+version is declared once, only the raster module freezes the arrays a map
+holds or reads a map's box or placement, no module plants a value in an
+object's vars(), importing the command line loads no scipy module, and
+make-targets loads no numpy.ma."""
 
 import ast
 import functools
@@ -50,14 +51,37 @@ def test_pyproject_version_is_the_package_version():
     assert config["project"]["version"] == pointedge.__version__
 
 
+def writes_into_vars(node: ast.AST) -> bool:
+    """Whether ``node`` writes into an object's ``vars()`` or ``__dict__``:
+    an item assignment or deletion, or a call that changes it."""
+    def is_vars(expr: ast.AST) -> bool:
+        return (
+            isinstance(expr, ast.Call) and ast.unparse(expr.func) == "vars"
+        ) or (isinstance(expr, ast.Attribute) and expr.attr == "__dict__")
+
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+        return any(isinstance(t, ast.Subscript) and is_vars(t.value) for t in targets)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear", "__setitem__")
+        and is_vars(node.func.value)
+    )
+
+
 def test_only_raster_freezes_or_plants_a_maps_arrays():
     # raster.py alone knows how a map holds its arrays: elsewhere no array is
     # made read-only and no attribute is set on a frozen object but self.
+    # No module, raster included, plants a value in an object's vars(): a
+    # map's derived arrays are cached properties, computed on first read.
     breaches = []
     for path in sorted((SRC / "pointedge").glob("*.py")):
-        if path.name == "raster.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if writes_into_vars(node):
+                breaches.append(f"{path.name}:{node.lineno} writes into vars()")
+            if path.name == "raster.py":
+                continue
             targets = node.targets if isinstance(node, ast.Assign) else [
                 getattr(node, "target", None)
             ]
@@ -83,16 +107,17 @@ def test_only_raster_freezes_or_plants_a_maps_arrays():
 
 
 def test_only_raster_reads_a_gray_maps_levels():
-    # raster.py alone knows how a gray map stores its levels and places its
-    # box in the frame, so it alone binarizes one or reaches its box: no
-    # other module reads a .levels, .maxval, .frame or .origin attribute.
+    # raster.py alone knows how a map stores its levels or bits and places
+    # its box in the frame, so it alone binarizes one or reaches its box: no
+    # other module reads a .levels, .maxval, .box, .frame or .origin
+    # attribute.
     breaches = [
         f"{path.name}:{node.lineno} reads .{node.attr}"
         for path in sorted((SRC / "pointedge").glob("*.py"))
         if path.name != "raster.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute)
-        and node.attr in ("levels", "maxval", "frame", "origin")
+        and node.attr in ("levels", "maxval", "box", "frame", "origin")
     ]
     assert breaches == []
 

@@ -31,10 +31,21 @@ def pixel_set(bitmap: BitMap) -> set[tuple[int, int]]:
     return {tuple(p) for p in np.argwhere(bitmap.bits)}
 
 
+def assert_bitmap_reads_as(edges: BitMap, frame_bits: np.ndarray) -> None:
+    """``edges`` reads, in ``bits``, ``flat``, ``height`` and ``width``, as
+    the frame map of ``frame_bits`` does; its frame is read-only."""
+    whole = BitMap(frame_bits)
+    assert (edges.height, edges.width) == (whole.height, whole.width) == frame_bits.shape
+    assert np.array_equal(edges.flat, whole.flat)
+    assert edges.flat.dtype == np.intp and not edges.flat.flags.writeable
+    assert edges.bits.dtype == np.bool_ and not edges.bits.flags.writeable
+    assert np.array_equal(edges.bits, frame_bits)
+
+
 class TestBitMapGrayMap:
     def test_bitmap_accepts_01_ints(self):
         bm = BitMap([[0, 1], [1, 0]])
-        assert bm.count() == 2
+        assert len(bm.flat) == 2
 
     def test_bitmap_rejects_other_values(self):
         with pytest.raises(ValueError):
@@ -156,8 +167,8 @@ class TestBitMapGrayMap:
 
 
 class TestBoxedGrayMap:
-    """A map that holds a box of its frame agrees, in every reading, with
-    the frame map whose pixels outside the box are 0."""
+    """A map, gray or bit, that holds a box of its frame agrees, in every
+    reading, with the frame map whose pixels outside the box are 0."""
 
     FRAME = (7, 9)
 
@@ -203,7 +214,13 @@ class TestBoxedGrayMap:
         assert np.array_equal(boxed.values, GrayMap(boxed.values).values)
         assert not boxed.values.flags.writeable
         for t in THRESHOLDS:
-            assert np.array_equal(binarize(boxed, t).bits, binarize(whole, t).bits), t
+            edges, want = binarize(boxed, t), binarize(whole, t).bits
+            assert "bits" not in vars(edges)  # it holds the gray map's box
+            assert_bitmap_reads_as(edges, want)
+            box = want[top:top + rows, left:left + cols]
+            assert_bitmap_reads_as(BitMap(box, frame=self.FRAME, origin=origin), want)
+        unset = BitMap(np.zeros(shape, dtype=bool), frame=self.FRAME, origin=origin)
+        assert_bitmap_reads_as(unset, np.zeros(self.FRAME, dtype=bool))
         assert _firing_counts(boxed, THRESHOLDS) == _firing_counts(whole, THRESHOLDS)
         write_graymap(boxed, tmp_path / "boxed.pgm")
         write_graymap(whole, tmp_path / "whole.pgm")
@@ -232,6 +249,9 @@ class TestBoxedGrayMap:
         with pytest.raises(ValueError) as info:
             GrayMap(np.full((3, 4), 0.5), **placement)
         assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            BitMap(np.ones((3, 4), dtype=bool), **placement)
+        assert str(info.value) == message.replace("GrayMap", "BitMap")
 
 
 class TestRasterizePolyline:
@@ -249,7 +269,7 @@ class TestRasterizePolyline:
             if y in (2, 7) or x in (2, 7)
         }
         assert pixel_set(out) == expected
-        assert out.count() == 20
+        assert len(out.flat) == 20
 
     def test_diagonal_segment(self):
         inst = make_instance(((0, 0), (3, 3), (0, 0)))
@@ -396,11 +416,13 @@ class TestBuildTunnelTarget:
 
 def assert_matches_the_full_frame_oracle(inst, height, width, tmp_path):
     edges, want = rasterize_polyline(inst, height, width), polyline_oracle(inst, height, width)
-    assert np.array_equal(edges.bits, want)
-    # The set pixels' flat indices come with the map, from its box.
-    assert "flat" in vars(edges) and not edges.flat.flags.writeable
+    # The raster holds its ring box: the set pixels' flat indices are taken
+    # from it, and the frame is built only when its bits are read.
+    assert not edges.flat.flags.writeable
     assert edges.flat.dtype == np.intp
     assert np.array_equal(edges.flat, np.flatnonzero(want))
+    assert "bits" not in vars(edges)
+    assert np.array_equal(edges.bits, want)
     target = build_tunnel_target(inst, height, width)
     values, keypoint_count = tunnel_target_oracle(inst, height, width)
     assert (target.map.height, target.map.width) == (height, width)
